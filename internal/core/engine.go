@@ -23,8 +23,8 @@
 // lock-free submit inboxes (shard.go), each NIC channel's pump is
 // serialized by its own chanPump, and the receive/protocol side runs under
 // one protocol mutex (pmu). Under the discrete-event runtime all upcalls
-// arrive on one goroutine and every lock is uncontended; the loopback
-// driver delivers idle and receive upcalls from its own goroutines and
+// arrive on one goroutine and every lock is uncontended; the Mesh driver
+// delivers idle and receive upcalls from its own goroutines and
 // exercises the full lock hierarchy (see shard.go for the ordering rules).
 package core
 
@@ -695,7 +695,10 @@ func (e *Engine) Submit(p *packet.Packet) error {
 			return ErrClosed
 		}
 		rts := e.rdvS.Start(p)
-		e.rdvStart[rts.Ctrl.Token] = p.Enqueued
+		// Read the token before the handoff: once queued, a pump may post
+		// the RTS and its rail owner release it.
+		token := rts.Ctrl.Token
+		e.rdvStart[token] = p.Enqueued
 		s := e.shardOf(p.Dst)
 		s.mu.Lock()
 		s.ctrlQ = append(s.ctrlQ, rts)
@@ -707,7 +710,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		}
 		s.ctr.rdvBytes += uint64(p.Size())
 		s.mu.Unlock()
-		e.armRdvRetryLocked(rts.Ctrl.Token, 0)
+		e.armRdvRetryLocked(token, 0)
 		e.pmu.Unlock()
 		e.set.Counter("core.rdv_started").Inc()
 		e.pumpAll()
@@ -809,6 +812,7 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 		e.pmu.Unlock()
 		return
 	}
+	flow, seq := rts.Ctrl.Flow, rts.Ctrl.Seq // read before the handoff
 	s := e.shardOf(rts.Dst)
 	s.mu.Lock()
 	s.ctrlQ = append(s.ctrlQ, rts)
@@ -818,7 +822,7 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 	e.set.Counter("core.rdv_retries").Inc()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
-		Flow: rts.Ctrl.Flow, Seq: rts.Ctrl.Seq, A: attempt + 1,
+		Flow: flow, Seq: seq, A: attempt + 1,
 		Note: "rdv-retry",
 	})
 	e.armRdvRetryLocked(token, attempt+1)

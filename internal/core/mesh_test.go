@@ -13,13 +13,13 @@ import (
 	"newmad/internal/strategy"
 )
 
-// TestLoopbackIntegration runs the very same optimizer over real TCP
+// TestMeshIntegration runs the very same optimizer over real TCP
 // sockets in wall-clock time: idle upcalls arrive from sender goroutines,
 // deliveries from reader goroutines, and Submit races them all. This
 // validates the engine's concurrency contract, which the single-threaded
 // simulator can never exercise.
-func TestLoopbackIntegration(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
+func TestMeshIntegration(t *testing.T) {
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestLoopbackIntegration(t *testing.T) {
 	}
 }
 
-// TestLoopbackRendezvous exercises the RTS/CTS/RData exchange over real
+// TestMeshRendezvous exercises the RTS/CTS/RData exchange over real
 // sockets.
-func TestLoopbackRendezvous(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
+func TestMeshRendezvous(t *testing.T) {
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,8 @@ func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
 	// pmu and read the arrival rail from here.
 	e.arrivalRail = ri
 	// SpanXmit: the sender stamped the frame at post time when the frame
-	// object itself crossed the fabric (simulated rails, loopback); frames
-	// decoded from a real wire read zero and are skipped.
+	// object itself crossed the fabric (simulated rails); frames decoded
+	// from a real wire read zero and are skipped.
 	if f.Posted > 0 {
 		e.spans.Observe(int(SpanXmit), int(frameClass(f)), ri, float64(now.Sub(f.Posted)))
 	}
@@ -185,6 +185,9 @@ func (e *Engine) onRdvGrant(token uint64, p *packet.Packet) {
 		e.spans.Observe(int(SpanRdvGrant), int(packet.ClassBulk), e.arrivalRail, float64(e.rt.Now().Sub(t0)))
 	}
 	rdata := e.rdvS.BuildRData(token)
+	// Read what the trace needs before the handoff: once queued, a pump
+	// may post the frame and its rail owner release it.
+	ctrl := rdata.Ctrl
 	s := e.shardOf(rdata.Dst)
 	s.mu.Lock()
 	s.bulkQ = append(s.bulkQ, rdata)
@@ -193,7 +196,7 @@ func (e *Engine) onRdvGrant(token uint64, p *packet.Packet) {
 	e.set.Counter("core.rdv_granted").Inc()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindRdv, Node: e.node,
-		Flow: rdata.Ctrl.Flow, Seq: rdata.Ctrl.Seq, A: rdata.Ctrl.Size, Note: "granted",
+		Flow: ctrl.Flow, Seq: ctrl.Seq, A: ctrl.Size, Note: "granted",
 	})
 }
 

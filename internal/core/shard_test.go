@@ -109,14 +109,14 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedLoopbackRace is the wall-clock concurrency battery: over real
+// TestShardedMeshRace is the wall-clock concurrency battery: over real
 // TCP sockets, concurrent submitters to several destinations race metrics
 // snapshots, rail-weight retunes and Flush on a four-shard engine, and the
 // test ends with Close racing Submit. Run under -race this exercises every
 // lock tier at once: submit inboxes, shard locks, channel pumps, the
 // protocol mutex, and the atomic tuning/bundle swaps.
-func TestShardedLoopbackRace(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(3, caps.TCP)
+func TestShardedMeshRace(t *testing.T) {
+	nodes, cleanup, err := drivers.NewMeshCluster(3, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

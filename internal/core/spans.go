@@ -26,8 +26,8 @@ const (
 	// application-visible latency. Rail = the arrival rail of the frame
 	// that completed the packet (0 when delivery had no rail context).
 	// Measurable only where submit and deliver share a clock: the
-	// simulated fabrics and loopback. Entries decoded from a real wire
-	// carry no submit stamp and are skipped.
+	// simulated fabrics. Entries decoded from a real wire carry no submit
+	// stamp and are skipped.
 	SpanE2E
 	// SpanXmit: post → receive, the fabric's serialization + transit leg
 	// for one frame. Stamped in-memory on the frame at post time; frames

@@ -7,11 +7,11 @@
 //   - Sim drivers wrap internal/nicsim NIC models (Myrinet/MX,
 //     Quadrics/Elan, InfiniBand, TCP, WAN — built from the capability
 //     database in internal/caps); and
-//   - real TCP drivers, which run the very same engine in wall-clock time
-//     and validate the asynchronous upcall contract against a genuine
-//     transport: Loopback (pairwise localhost sockets) and Mesh (an
-//     N-node topology — every node listens, dials its peers, and handles
-//     peer failure as a first-class event).
+//   - the real TCP driver, Mesh, which runs the very same engine in
+//     wall-clock time and validates the asynchronous upcall contract
+//     against a genuine transport: every node listens, dials its peers,
+//     and handles peer failure as a first-class event. A multi-rail node
+//     runs one Mesh per rail.
 //
 // The Driver interface is intentionally narrow: the optimizer only ever
 // needs to know what a driver can do (Caps), whether a send unit is free,
@@ -34,7 +34,7 @@ import (
 var ErrChannelBusy = errors.New("drivers: channel busy")
 
 // IdleFunc is invoked when a send channel becomes free. Sim drivers call it
-// on the simulation goroutine; Loopback calls it from a sender goroutine.
+// on the simulation goroutine; Mesh calls it from a sender goroutine.
 type IdleFunc func(ch int)
 
 // RecvFunc delivers a fully received frame.
@@ -52,7 +52,7 @@ type FrameLossHandler func(peer packet.NodeID, frames []*packet.Frame)
 
 // FrameLossNotifier is implemented by drivers that can hand undeliverable
 // frames back instead of dropping them — the hook engine-level failover
-// (internal/core) and the multi-rail bundle build on.
+// (internal/core) builds on.
 type FrameLossNotifier interface {
 	SetFrameLossHandler(fn FrameLossHandler)
 }
@@ -95,7 +95,7 @@ type Driver interface {
 	SetIdleHandler(fn IdleFunc)
 	// SetRecvHandler installs the delivery upcall (single handler).
 	SetRecvHandler(fn RecvFunc)
-	// Close releases resources. Sim drivers are trivial; Loopback closes
-	// its sockets and stops its goroutines.
+	// Close releases resources. Sim drivers are trivial; Mesh closes its
+	// sockets and stops its goroutines.
 	Close() error
 }

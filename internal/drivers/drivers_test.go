@@ -1,7 +1,6 @@
 package drivers
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -92,364 +91,256 @@ func TestSimDriverRoundTrip(t *testing.T) {
 	}
 }
 
-// --- Shared wall-clock driver conformance suite. --------------------------
+// --- Mesh conformance suite. ----------------------------------------------
 //
-// Every real-socket driver (Loopback, Mesh) must honor the same contract:
-// idle upcalls from sender goroutines, deliveries from reader goroutines,
-// ErrChannelBusy on an occupied channel, errors (not panics) on misuse, and
-// an idempotent Close. The conformance tests below run once per transport.
+// The real-socket driver must honor the Driver contract: idle upcalls from
+// sender goroutines, deliveries from reader goroutines, ErrChannelBusy on an
+// occupied channel, errors (not panics) on misuse, an idempotent Close, and
+// FIFO delivery per rail (one connection per peer).
 
-// wallTransport constructs an n-node fully connected cluster of one
-// wall-clock driver kind.
-type wallTransport struct {
-	name string
-	// capsName is the profile name the transport's Caps() must report;
-	// channels the expected NumChannels() when built from caps.TCP.
-	capsName string
-	channels int
-	make     func(n int, c caps.Caps) ([]Driver, func(), error)
-	// railOf maps a channel index to the rail (independent FIFO pipe) it
-	// belongs to; single-connection transports map everything to rail 0.
-	railOf func(d Driver, ch int) int
-}
-
-func oneRail(Driver, int) int { return 0 }
-
-// perChannel is the FIFO granularity of Loopback: each channel has its own
-// sender goroutine, and the channels share the destination connection
-// under a write lock, so only frames of the same channel are ordered.
-func perChannel(_ Driver, ch int) int { return ch }
-
-// multiRailTransport builds the conformance adapter for an R-rail mesh:
-// each node is one MultiRail bundling R mesh endpoints derived from the
-// base profile.
-func multiRailTransport(rails int) wallTransport {
-	return wallTransport{
-		name:     fmt.Sprintf("mesh-%drail", rails),
-		capsName: "tcp.r0",
-		channels: rails * caps.TCP.Channels,
-		make: func(n int, c caps.Caps) ([]Driver, func(), error) {
-			nodes, cleanup, err := NewMultiRailMeshCluster(n, caps.RailProfiles(c, rails))
-			if err != nil {
-				return nil, nil, err
-			}
-			ds := make([]Driver, len(nodes))
-			for i, m := range nodes {
-				ds[i] = m
-			}
-			return ds, cleanup, nil
-		},
-		railOf: func(d Driver, ch int) int {
-			ri, _, err := d.(*MultiRail).RailOf(ch)
-			if err != nil {
-				panic(err)
-			}
-			return ri
-		},
+func TestMeshRoundTrip(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	defer cleanup()
 
-func wallTransports() []wallTransport {
-	return []wallTransport{
-		{"loopback", "tcp", caps.TCP.Channels, func(n int, c caps.Caps) ([]Driver, func(), error) {
-			nodes, cleanup, err := NewLoopbackCluster(n, c)
-			if err != nil {
-				return nil, nil, err
-			}
-			ds := make([]Driver, len(nodes))
-			for i, m := range nodes {
-				ds[i] = m
-			}
-			return ds, cleanup, nil
-		}, perChannel},
-		{"mesh", "tcp", caps.TCP.Channels, func(n int, c caps.Caps) ([]Driver, func(), error) {
-			nodes, cleanup, err := NewMeshCluster(n, c)
-			if err != nil {
-				return nil, nil, err
-			}
-			ds := make([]Driver, len(nodes))
-			for i, m := range nodes {
-				ds[i] = m
-			}
-			return ds, cleanup, nil
-		}, oneRail},
-		multiRailTransport(1),
-		multiRailTransport(2),
-		multiRailTransport(4),
-	}
-}
-
-func forEachWallTransport(t *testing.T, fn func(t *testing.T, tr wallTransport)) {
-	for _, tr := range wallTransports() {
-		tr := tr
-		t.Run(tr.name, func(t *testing.T) { fn(t, tr) })
-	}
-}
-
-func TestWallDriverRoundTrip(t *testing.T) {
-	forEachWallTransport(t, func(t *testing.T, tr wallTransport) {
-		nodes, cleanup, err := tr.make(2, caps.TCP)
-		if err != nil {
-			t.Fatal(err)
+	recv := make(chan *packet.Frame, 1)
+	idle := make(chan int, 1)
+	nodes[1].SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
+		if src != 0 {
+			t.Errorf("src = %d", src)
 		}
-		defer cleanup()
+		recv <- f
+	})
+	nodes[0].SetIdleHandler(func(ch int) { idle <- ch })
 
-		recv := make(chan *packet.Frame, 1)
-		idle := make(chan int, 1)
-		nodes[1].SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
-			if src != 0 {
-				t.Errorf("src = %d", src)
-			}
-			recv <- f
+	f := &packet.Frame{
+		Kind: packet.FrameData, Src: 0, Dst: 1,
+		Entries: []packet.Entry{
+			{Flow: 3, Msg: 9, Seq: 0, Last: false, Recv: packet.RecvExpress, Payload: []byte("head")},
+			{Flow: 3, Msg: 9, Seq: 1, Last: true, Payload: []byte("body")},
+		},
+	}
+	if err := nodes[0].Post(0, f, 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-recv:
+		if len(got.Entries) != 2 || string(got.Entries[0].Payload) != "head" {
+			t.Fatalf("frame corrupted: %+v", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame never arrived")
+	}
+	select {
+	case <-idle:
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle upcall never fired")
+	}
+}
+
+func TestMeshBidirectional(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(3, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+
+	var mu sync.Mutex
+	got := map[packet.NodeID]int{}
+	done := make(chan struct{}, 16)
+	for _, n := range nodes {
+		n := n
+		n.SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
+			mu.Lock()
+			got[n.Node()]++
+			mu.Unlock()
+			done <- struct{}{}
 		})
-		nodes[0].SetIdleHandler(func(ch int) { idle <- ch })
+	}
+	// Every node sends one frame to every other node.
+	sent := 0
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a.Node() == b.Node() {
+				continue
+			}
+			ch, ok := a.FirstIdle()
+			if !ok {
+				t.Fatal("no idle channel")
+			}
+			if err := a.Post(ch, simpleFrame(a.Node(), b.Node(), 32), 0); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+			// Wait for this frame before reusing channels (keep it simple).
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("frame lost")
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	total := 0
+	for _, n := range got {
+		total += n
+	}
+	if total != sent {
+		t.Fatalf("delivered %d of %d", total, sent)
+	}
+}
 
+func TestMeshErrors(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	n0 := nodes[0]
+	if err := n0.Post(99, simpleFrame(0, 1, 8), 0); err == nil {
+		t.Fatal("bad channel accepted")
+	}
+	if err := n0.Post(0, simpleFrame(1, 0, 8), 0); err == nil {
+		t.Fatal("foreign src accepted")
+	}
+	if err := n0.Post(0, simpleFrame(0, 7, 8), 0); err == nil {
+		t.Fatal("unconnected destination accepted")
+	}
+	if n0.NumChannels() != caps.TCP.Channels {
+		t.Fatalf("channels = %d, want %d", n0.NumChannels(), caps.TCP.Channels)
+	}
+	if n0.Node() != 0 || n0.Caps().Name != "tcp" || n0.Name() == "" {
+		t.Fatal("identity accessors broken")
+	}
+}
+
+func TestMeshCloseIdempotentAndPostAfterClose(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	if err := nodes[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[0].Close(); err != nil {
+		t.Fatal("second close errored")
+	}
+	if err := nodes[0].Post(0, simpleFrame(0, 1, 8), 0); err == nil {
+		t.Fatal("post after close accepted")
+	}
+}
+
+// TestMeshFlowOrderAcrossChannels pins down the ordering contract when
+// one flow stripes across send units: every channel of a Mesh rail shares
+// the one connection toward the peer, so frames arrive in post order — TCP
+// FIFO per rail. (Frames on different rails may race, which is why every
+// frame carries its sequence number and reassembly happens above the
+// driver.) The test posts one flow round-robin over every channel and
+// verifies (a) nothing is lost or duplicated and (b) arrival order equals
+// post order.
+func TestMeshFlowOrderAcrossChannels(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+
+	const frames = 96
+	numCh := nodes[0].NumChannels()
+
+	var mu sync.Mutex
+	var got []int
+	nodes[1].SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
+		if len(f.Entries) != 1 || len(f.Entries[0].Payload) < 2 {
+			t.Errorf("malformed striped frame: %+v", f)
+			return
+		}
+		p := f.Entries[0].Payload
+		mu.Lock()
+		got = append(got, int(p[0])<<8|int(p[1]))
+		mu.Unlock()
+	})
+	idle := make(chan struct{}, numCh*4)
+	nodes[0].SetIdleHandler(func(int) {
+		select {
+		case idle <- struct{}{}:
+		default:
+		}
+	})
+
+	for seq := 0; seq < frames; seq++ {
+		ch := seq % numCh
+		for !nodes[0].ChannelIdle(ch) {
+			select {
+			case <-idle:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("channel %d never freed at seq %d", ch, seq)
+			}
+		}
 		f := &packet.Frame{
 			Kind: packet.FrameData, Src: 0, Dst: 1,
-			Entries: []packet.Entry{
-				{Flow: 3, Msg: 9, Seq: 0, Last: false, Recv: packet.RecvExpress, Payload: []byte("head")},
-				{Flow: 3, Msg: 9, Seq: 1, Last: true, Payload: []byte("body")},
-			},
+			Entries: []packet.Entry{{
+				Flow: 1, Msg: 1, Seq: seq, Last: seq == frames-1,
+				Payload: []byte{byte(seq >> 8), byte(seq)},
+			}},
 		}
-		if err := nodes[0].Post(0, f, 0); err != nil {
-			t.Fatal(err)
+		if err := nodes[0].Post(ch, f, 0); err != nil {
+			t.Fatalf("post seq %d on ch %d: %v", seq, ch, err)
 		}
-		select {
-		case got := <-recv:
-			if len(got.Entries) != 2 || string(got.Entries[0].Payload) != "head" {
-				t.Fatalf("frame corrupted: %+v", got)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("frame never arrived")
-		}
-		select {
-		case <-idle:
-		case <-time.After(5 * time.Second):
-			t.Fatal("idle upcall never fired")
-		}
-	})
-}
+	}
 
-func TestWallDriverBidirectional(t *testing.T) {
-	forEachWallTransport(t, func(t *testing.T, tr wallTransport) {
-		nodes, cleanup, err := tr.make(3, caps.TCP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cleanup()
-
-		var mu sync.Mutex
-		got := map[packet.NodeID]int{}
-		done := make(chan struct{}, 16)
-		for _, n := range nodes {
-			n := n
-			n.SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
-				mu.Lock()
-				got[n.Node()]++
-				mu.Unlock()
-				done <- struct{}{}
-			})
-		}
-		// Every node sends one frame to every other node.
-		sent := 0
-		for _, a := range nodes {
-			for _, b := range nodes {
-				if a.Node() == b.Node() {
-					continue
-				}
-				ch, ok := a.FirstIdle()
-				if !ok {
-					t.Fatal("no idle channel")
-				}
-				if err := a.Post(ch, simpleFrame(a.Node(), b.Node(), 32), 0); err != nil {
-					t.Fatal(err)
-				}
-				sent++
-				// Wait for this frame before reusing channels (keep it simple).
-				select {
-				case <-done:
-				case <-time.After(5 * time.Second):
-					t.Fatal("frame lost")
-				}
-			}
-		}
+	waitFor(t, 10*time.Second, "all striped frames", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		total := 0
-		for _, n := range got {
-			total += n
-		}
-		if total != sent {
-			t.Fatalf("delivered %d of %d", total, sent)
-		}
+		return len(got) >= frames
 	})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != frames {
+		t.Fatalf("received %d frames, posted %d", len(got), frames)
+	}
+	seen := make([]bool, frames)
+	last := -1
+	for i, seq := range got {
+		if seq < 0 || seq >= frames || seen[seq] {
+			t.Fatalf("arrival %d: bad or duplicate seq %d", i, seq)
+		}
+		seen[seq] = true
+		if seq < last {
+			t.Fatalf("rail reordered: seq %d arrived after %d", seq, last)
+		}
+		last = seq
+	}
 }
 
-func TestWallDriverErrors(t *testing.T) {
-	forEachWallTransport(t, func(t *testing.T, tr wallTransport) {
-		nodes, cleanup, err := tr.make(2, caps.TCP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cleanup()
-		n0 := nodes[0]
-		if err := n0.Post(99, simpleFrame(0, 1, 8), 0); err == nil {
-			t.Fatal("bad channel accepted")
-		}
-		if err := n0.Post(0, simpleFrame(1, 0, 8), 0); err == nil {
-			t.Fatal("foreign src accepted")
-		}
-		if err := n0.Post(0, simpleFrame(0, 7, 8), 0); err == nil {
-			t.Fatal("unconnected destination accepted")
-		}
-		if n0.NumChannels() != tr.channels {
-			t.Fatalf("channels = %d, want %d", n0.NumChannels(), tr.channels)
-		}
-		if n0.Node() != 0 || n0.Caps().Name != tr.capsName || n0.Name() == "" {
-			t.Fatal("identity accessors broken")
-		}
-	})
-}
+func TestMeshChannelBusySemantics(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
 
-func TestWallDriverCloseIdempotentAndPostAfterClose(t *testing.T) {
-	forEachWallTransport(t, func(t *testing.T, tr wallTransport) {
-		nodes, cleanup, err := tr.make(2, caps.TCP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cleanup()
-		if err := nodes[0].Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := nodes[0].Close(); err != nil {
-			t.Fatal("second close errored")
-		}
-		if err := nodes[0].Post(0, simpleFrame(0, 1, 8), 0); err == nil {
-			t.Fatal("post after close accepted")
-		}
-	})
-}
-
-// TestWallDriverFlowOrderAcrossRails pins down the ordering contract when
-// one flow stripes across send units: frames that travel the same rail
-// (the same underlying connection) arrive in post order — TCP FIFO per
-// rail — while frames on different rails may race, which is why every
-// frame carries its sequence number and reassembly happens above the
-// driver. The test posts one flow round-robin over every channel of every
-// rail and verifies (a) nothing is lost or duplicated and (b) per-rail
-// arrival order equals per-rail post order.
-func TestWallDriverFlowOrderAcrossRails(t *testing.T) {
-	forEachWallTransport(t, func(t *testing.T, tr wallTransport) {
-		nodes, cleanup, err := tr.make(2, caps.TCP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cleanup()
-
-		const frames = 96
-		numCh := nodes[0].NumChannels()
-
-		type arrival struct{ rail, seq int }
-		var mu sync.Mutex
-		var got []arrival
-		nodes[1].SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
-			if len(f.Entries) != 1 || len(f.Entries[0].Payload) < 8 {
-				t.Errorf("malformed striped frame: %+v", f)
-				return
-			}
-			p := f.Entries[0].Payload
-			mu.Lock()
-			got = append(got, arrival{
-				rail: int(p[0])<<8 | int(p[1]),
-				seq:  int(p[4])<<8 | int(p[5]),
-			})
-			mu.Unlock()
-		})
-		idle := make(chan struct{}, numCh*4)
-		nodes[0].SetIdleHandler(func(int) {
-			select {
-			case idle <- struct{}{}:
-			default:
-			}
-		})
-
-		for seq := 0; seq < frames; seq++ {
-			ch := seq % numCh
-			for !nodes[0].ChannelIdle(ch) {
-				select {
-				case <-idle:
-				case <-time.After(5 * time.Second):
-					t.Fatalf("channel %d never freed at seq %d", ch, seq)
-				}
-			}
-			rail := tr.railOf(nodes[0], ch)
-			f := &packet.Frame{
-				Kind: packet.FrameData, Src: 0, Dst: 1,
-				Entries: []packet.Entry{{
-					Flow: 1, Msg: 1, Seq: seq, Last: seq == frames-1,
-					Payload: []byte{byte(rail >> 8), byte(rail), 0, 0, byte(seq >> 8), byte(seq), 0, 0},
-				}},
-			}
-			if err := nodes[0].Post(ch, f, 0); err != nil {
-				t.Fatalf("post seq %d on ch %d: %v", seq, ch, err)
-			}
-		}
-
-		waitFor(t, 10*time.Second, "all striped frames", func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return len(got) >= frames
-		})
-		mu.Lock()
-		defer mu.Unlock()
-		if len(got) != frames {
-			t.Fatalf("received %d frames, posted %d", len(got), frames)
-		}
-		seen := make([]bool, frames)
-		lastPerRail := map[int]int{}
-		for i, a := range got {
-			if a.seq < 0 || a.seq >= frames || seen[a.seq] {
-				t.Fatalf("arrival %d: bad or duplicate seq %d", i, a.seq)
-			}
-			seen[a.seq] = true
-			if last, ok := lastPerRail[a.rail]; ok && a.seq < last {
-				t.Fatalf("rail %d reordered: seq %d arrived after %d", a.rail, a.seq, last)
-			}
-			lastPerRail[a.rail] = a.seq
-		}
-		// Multi-rail transports must actually have striped the flow.
-		if want := tr.railOf(nodes[0], numCh-1) + 1; len(lastPerRail) != want {
-			t.Fatalf("flow touched %d rails, transport has %d", len(lastPerRail), want)
-		}
-	})
-}
-
-func TestWallDriverChannelBusySemantics(t *testing.T) {
-	forEachWallTransport(t, func(t *testing.T, tr wallTransport) {
-		nodes, cleanup, err := tr.make(2, caps.TCP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cleanup()
-
-		// Saturate channel 0 with a large frame and verify ErrChannelBusy can
-		// occur, then that the channel recovers.
-		idle := make(chan struct{}, 8)
-		nodes[0].SetIdleHandler(func(int) { idle <- struct{}{} })
-		nodes[1].SetRecvHandler(func(packet.NodeID, *packet.Frame) {})
-		if err := nodes[0].Post(0, simpleFrame(0, 1, 1<<20), 0); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-idle:
-		case <-time.After(5 * time.Second):
-			t.Fatal("channel never became idle")
-		}
-		if !nodes[0].ChannelIdle(0) {
-			t.Fatal("channel not idle after upcall")
-		}
-		if err := nodes[0].Post(0, simpleFrame(0, 1, 8), 0); err != nil {
-			t.Fatalf("post after idle: %v", err)
-		}
-	})
+	// Saturate channel 0 with a large frame and verify ErrChannelBusy can
+	// occur, then that the channel recovers.
+	idle := make(chan struct{}, 8)
+	nodes[0].SetIdleHandler(func(int) { idle <- struct{}{} })
+	nodes[1].SetRecvHandler(func(packet.NodeID, *packet.Frame) {})
+	if err := nodes[0].Post(0, simpleFrame(0, 1, 1<<20), 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-idle:
+	case <-time.After(5 * time.Second):
+		t.Fatal("channel never became idle")
+	}
+	if !nodes[0].ChannelIdle(0) {
+		t.Fatal("channel not idle after upcall")
+	}
+	if err := nodes[0].Post(0, simpleFrame(0, 1, 8), 0); err != nil {
+		t.Fatalf("post after idle: %v", err)
+	}
 }

@@ -27,11 +27,10 @@ var ErrPeerDown = errors.New("drivers: peer down")
 // fails at the call site instead of poisoning the link.
 const maxMeshFrame = 64 << 20
 
-// Mesh is a real multi-node TCP transport: each node listens on one port,
+// Mesh is the real-socket TCP transport: each node listens on one port,
 // dials every peer, and exchanges length-prefixed frames (the same wire
-// encoding as the simulated drivers and the Loopback driver). It generalizes
-// Loopback from the pairwise localhost case to an N-endpoint mesh suitable
-// for multi-machine topologies:
+// encoding as the simulated drivers). Two nodes on localhost and N
+// endpoints spread over several machines are the same code path:
 //
 //   - One outbound connection per peer, owned by a dedicated sender
 //     goroutine (the rail lifecycle in rails.go), so frames to different
@@ -53,8 +52,8 @@ const maxMeshFrame = 64 << 20
 // One Mesh is one *rail* of a node: it advertises exactly one capability
 // record. Multi-rail nodes — several NICs, possibly of different
 // technologies, emulated here as several TCP connections per peer — run one
-// Mesh per rail and hand all of them to the engine (see MultiRail and
-// NewMeshRails in multirail.go).
+// Mesh per rail and hand all of them to the engine (see NewMeshRails); the
+// engine, not the driver, fails frames over between rails.
 //
 // Addresses are ordinary TCP addresses; nothing restricts the mesh to
 // localhost. Tests and examples use 127.0.0.1 ephemeral ports, but the same
@@ -83,7 +82,6 @@ type Mesh struct {
 }
 
 var _ Driver = (*Mesh)(nil)
-var _ WallDriver = (*Mesh)(nil)
 
 // NewMesh creates a node endpoint listening on the given TCP address
 // ("127.0.0.1:0" for an ephemeral localhost port, ":0" or a routable
@@ -349,36 +347,6 @@ func (m *Mesh) LostFrames() uint64 {
 	return m.lost
 }
 
-// Requeue enqueues a frame on the destination peer's rail without
-// occupying a send channel — the failover path the multi-rail bundle uses
-// to re-route frames reclaimed from a dead sibling rail. The slack beyond
-// the per-channel slots is bounded (requeueSlack); a full queue returns
-// ErrChannelBusy and the caller retries on a later idle. Ordering relative
-// to channel traffic follows queue order, like any post.
-func (m *Mesh) Requeue(f *packet.Frame) error {
-	if f.Src != m.node {
-		return fmt.Errorf("drivers: frame src %d requeued on node %d", f.Src, m.node)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return errors.New("drivers: mesh closed")
-	}
-	p, ok := m.peers[f.Dst]
-	if !ok {
-		return fmt.Errorf("drivers: node %d not connected to %d", m.node, f.Dst)
-	}
-	if p.down {
-		return fmt.Errorf("drivers: node %d -> %d: %w", m.node, f.Dst, ErrPeerDown)
-	}
-	select {
-	case p.q <- railTx{ch: -1, f: f}:
-		return nil
-	default:
-		return fmt.Errorf("drivers: node %d -> %d requeue slack full: %w", m.node, f.Dst, ErrChannelBusy)
-	}
-}
-
 // BreakPeer forces the connection toward peer down, exactly as if the
 // network had severed it: the socket closes (so the owner's next write
 // fails and reclaims the queued frames, and the remote reader observes the
@@ -459,9 +427,71 @@ func (m *Mesh) Close() error {
 }
 
 // NewMeshCluster creates n fully connected localhost mesh nodes sharing the
-// given capability profile. The returned cleanup closes every node.
+// given capability profile, rolling everything back on failure. The
+// returned cleanup closes every node.
 func NewMeshCluster(n int, c caps.Caps) ([]*Mesh, func(), error) {
-	return newWallCluster(n, func(node packet.NodeID) (*Mesh, error) {
-		return NewMesh(node, c, "127.0.0.1:0")
-	})
+	nodes := make([]*Mesh, n)
+	for i := range nodes {
+		m, err := NewMesh(packet.NodeID(i), c, "127.0.0.1:0")
+		if err != nil {
+			for _, prev := range nodes[:i] {
+				prev.Close()
+			}
+			return nil, nil, err
+		}
+		nodes[i] = m
+	}
+	cleanup := func() {
+		for _, m := range nodes {
+			m.Close()
+		}
+	}
+	for i, a := range nodes {
+		for j, b := range nodes {
+			if i == j {
+				continue
+			}
+			if err := a.Dial(b.Node(), b.Addr()); err != nil {
+				cleanup()
+				return nil, nil, err
+			}
+		}
+	}
+	return nodes, cleanup, nil
+}
+
+// NewMeshRails creates one Mesh endpoint per capability profile for a node.
+// Profile names must be distinct (use caps.RailProfiles to derive uniquely
+// named variants of one base profile); listen optionally pins one TCP
+// listen address per rail, defaulting to ephemeral localhost ports.
+func NewMeshRails(node packet.NodeID, profiles []caps.Caps, listen []string) ([]*Mesh, error) {
+	if len(profiles) == 0 {
+		return nil, fmt.Errorf("drivers: multi-rail node %d needs at least one rail profile", node)
+	}
+	if listen != nil && len(listen) != len(profiles) {
+		return nil, fmt.Errorf("drivers: %d listen addresses for %d rails", len(listen), len(profiles))
+	}
+	seen := make(map[string]bool, len(profiles))
+	for _, p := range profiles {
+		if seen[p.Name] {
+			return nil, fmt.Errorf("drivers: duplicate rail profile %q on node %d (rail names must be distinct)", p.Name, node)
+		}
+		seen[p.Name] = true
+	}
+	rails := make([]*Mesh, len(profiles))
+	for i, p := range profiles {
+		addr := "127.0.0.1:0"
+		if listen != nil {
+			addr = listen[i]
+		}
+		m, err := NewMesh(node, p, addr)
+		if err != nil {
+			for _, prev := range rails[:i] {
+				prev.Close()
+			}
+			return nil, err
+		}
+		rails[i] = m
+	}
+	return rails, nil
 }

@@ -2,8 +2,11 @@ package drivers
 
 import (
 	"errors"
+	"io"
+	"net"
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -345,5 +348,53 @@ func TestMeshDialAfterClose(t *testing.T) {
 	a.Close()
 	if err := a.Dial(1, b.Addr()); err == nil {
 		t.Fatal("dial on closed mesh succeeded")
+	}
+}
+
+// TestMeshRejectsInvalidCaps: a capability record that fails validation
+// never gets a listener.
+func TestMeshRejectsInvalidCaps(t *testing.T) {
+	bad := caps.TCP
+	bad.Bandwidth = 0
+	if _, err := NewMesh(0, bad, "127.0.0.1:0"); err == nil {
+		t.Fatal("invalid caps accepted")
+	}
+}
+
+// TestMeshCorruptStreamClosesReader: an inbound connection whose length
+// prefix exceeds maxMeshFrame is dropped before the reader allocates for
+// it, and the corrupt stream leaves the healthy connections untouched.
+func TestMeshCorruptStreamClosesReader(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	recv := make(chan struct{}, 1)
+	nodes[1].SetRecvHandler(func(packet.NodeID, *packet.Frame) { recv <- struct{}{} })
+
+	conn, err := net.DialTimeout("tcp", nodes[1].Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Hello as unknown node 9, then a 4 GiB length prefix.
+	if _, err := conn.Write([]byte{0, 0, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var b [1]byte
+	_, err = conn.Read(b[:])
+	if !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("corrupt stream not closed by the reader: read returned %v", err)
+	}
+
+	if err := nodes[0].Post(0, simpleFrame(0, 1, 32), 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-recv:
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame lost after a corrupt stream from a stranger")
 	}
 }

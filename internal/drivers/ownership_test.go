@@ -153,9 +153,9 @@ func TestPooledFramesSurviveRedialDrain(t *testing.T) {
 // TestPooledFramesSurviveFailoverReclaim severs a connection with pooled
 // frames aboard: the reclaimed frames must come back intact (the failing
 // owner hands them over instead of releasing them), survive the wait for a
-// heal untouched, and deliver bit-intact when requeued on the replacement
-// connection — the transfer of ownership that PR 4's failover paths rely
-// on, now with pooling in play.
+// heal untouched, and deliver bit-intact when reposted on the replacement
+// connection — the transfer of ownership the engine's failover queue relies
+// on, with pooling in play.
 func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
 	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
 	if err != nil {
@@ -226,11 +226,11 @@ func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
 	}
 	mu.Unlock()
 
-	// Heal and fail the reclaimed frames over. The break cascades — the
+	// Heal and repost the reclaimed frames. The break cascades — the
 	// receiver's reader error takes down its own outbound connection,
 	// whose EOF the sender attributes to the peer — so a first heal can be
 	// torn down again, reclaiming the frames a second time. Keep healing
-	// and requeuing whatever comes back: the ownership contract is that an
+	// and reposting whatever comes back: the ownership contract is that an
 	// undelivered frame is always either in our hands (reclaimed, intact)
 	// or aboard exactly one live rail — never dropped, never released
 	// early. The mid-write ambiguous frame may arrive twice, so duplicates
@@ -246,7 +246,14 @@ func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
 		mu.Unlock()
 		for _, f := range pend {
 			for {
-				err := nodes[0].Requeue(f)
+				// Repost on a released channel, as the engine's failover
+				// queue does on an idle upcall.
+				ch, ok := nodes[0].FirstIdle()
+				if !ok {
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				err := nodes[0].Post(ch, f, 0)
 				if err == nil {
 					break
 				}

@@ -15,14 +15,14 @@ import (
 )
 
 // TestCollectivesOverRealSockets runs the MPI middleware over the real TCP
-// loopback driver: the whole stack — packing API, optimizer, protocol
+// Mesh driver: the whole stack — packing API, optimizer, protocol
 // engines, wire codec — in wall-clock time with concurrent goroutine
 // upcalls. A barrier plus an allreduce across three endpoints is a
 // complete correctness workout: tag matching, ordered flows, collective
 // trees and bidirectional traffic all at once.
 func TestCollectivesOverRealSockets(t *testing.T) {
 	const n = 3
-	nodes, cleanup, err := drivers.NewLoopbackCluster(n, caps.TCP)
+	nodes, cleanup, err := drivers.NewMeshCluster(n, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

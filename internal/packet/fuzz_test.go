@@ -10,7 +10,7 @@ import (
 )
 
 // Decode must never panic, whatever bytes arrive: a real transport can
-// deliver garbage, and the loopback driver feeds Decode straight from the
+// deliver garbage, and the Mesh driver feeds Decode straight from the
 // socket. These adversarial-input tests are the property-based complement
 // to the round-trip tests in wire_test.go.
 

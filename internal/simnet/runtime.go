@@ -11,7 +11,7 @@ import (
 //   - the discrete-event Engine, where time is virtual and callbacks run on
 //     the single simulation goroutine; and
 //   - RealRuntime, where time is the wall clock and callbacks arrive on
-//     timer goroutines (used with the real TCP loopback driver).
+//     timer goroutines (used with the real TCP Mesh driver).
 //
 // Components written against Runtime must therefore be safe for concurrent
 // callbacks; under the Engine that safety is simply never exercised.
