@@ -91,14 +91,29 @@ func TestSimDriverRoundTrip(t *testing.T) {
 	}
 }
 
-// --- Mesh conformance suite. ----------------------------------------------
+// --- Wall-clock driver conformance suite. ---------------------------------
 //
 // The real-socket driver must honor the Driver contract: idle upcalls from
 // sender goroutines, deliveries from reader goroutines, ErrChannelBusy on an
 // occupied channel, errors (not panics) on misuse, an idempotent Close, and
-// FIFO delivery per rail (one connection per peer).
+// FIFO delivery per rail (one connection per peer). Each TestWallDriver*
+// runs its check as a subtest named after the transport; Mesh is the only
+// wall-clock transport.
 
-func TestMeshRoundTrip(t *testing.T) {
+func TestWallDriverRoundTrip(t *testing.T)     { t.Run("mesh", meshRoundTrip) }
+func TestWallDriverBidirectional(t *testing.T) { t.Run("mesh", meshBidirectional) }
+func TestWallDriverErrors(t *testing.T)        { t.Run("mesh", meshErrors) }
+func TestWallDriverChannelBusySemantics(t *testing.T) {
+	t.Run("mesh", meshChannelBusySemantics)
+}
+func TestWallDriverCloseIdempotentAndPostAfterClose(t *testing.T) {
+	t.Run("mesh", meshCloseIdempotentAndPostAfterClose)
+}
+func TestWallDriverFlowOrderAcrossRails(t *testing.T) {
+	t.Run("mesh", meshFlowOrderAcrossChannels)
+}
+
+func meshRoundTrip(t *testing.T) {
 	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +155,7 @@ func TestMeshRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMeshBidirectional(t *testing.T) {
+func meshBidirectional(t *testing.T) {
 	nodes, cleanup, err := NewMeshCluster(3, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +208,7 @@ func TestMeshBidirectional(t *testing.T) {
 	}
 }
 
-func TestMeshErrors(t *testing.T) {
+func meshErrors(t *testing.T) {
 	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +232,7 @@ func TestMeshErrors(t *testing.T) {
 	}
 }
 
-func TestMeshCloseIdempotentAndPostAfterClose(t *testing.T) {
+func meshCloseIdempotentAndPostAfterClose(t *testing.T) {
 	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +249,7 @@ func TestMeshCloseIdempotentAndPostAfterClose(t *testing.T) {
 	}
 }
 
-// TestMeshFlowOrderAcrossChannels pins down the ordering contract when
+// meshFlowOrderAcrossChannels pins down the ordering contract when
 // one flow stripes across send units: every channel of a Mesh rail shares
 // the one connection toward the peer, so frames arrive in post order — TCP
 // FIFO per rail. (Frames on different rails may race, which is why every
@@ -242,7 +257,7 @@ func TestMeshCloseIdempotentAndPostAfterClose(t *testing.T) {
 // driver.) The test posts one flow round-robin over every channel and
 // verifies (a) nothing is lost or duplicated and (b) arrival order equals
 // post order.
-func TestMeshFlowOrderAcrossChannels(t *testing.T) {
+func meshFlowOrderAcrossChannels(t *testing.T) {
 	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +332,7 @@ func TestMeshFlowOrderAcrossChannels(t *testing.T) {
 	}
 }
 
-func TestMeshChannelBusySemantics(t *testing.T) {
+func meshChannelBusySemantics(t *testing.T) {
 	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
