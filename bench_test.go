@@ -209,11 +209,15 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 			Payload: make([]byte, 64),
 		})
 	}
+	var vec [][]byte
+	var meta []byte
 	buf := make([]byte, 0, f.WireSize())
+	var into packet.Frame
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = f.Encode(buf[:0])
-		if _, _, err := packet.Decode(buf); err != nil {
+		vec, meta = f.EncodeVec(vec[:0], meta[:0])
+		buf = packet.IOVec(vec).Flatten(buf)
+		if _, err := packet.DecodeInto(&into, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,11 +52,12 @@ const (
 	// Drop discards the frame on arrival.
 	Drop FaultKind = iota
 	// Corrupt flips random bits in the frame's wire encoding before
-	// decoding it again: one that no longer decodes is dropped, one that
-	// still decodes arrives damaged — the protocol layer rejects
-	// *structural* damage (size mismatches, unknown tokens), while a
-	// payload-bit flip is delivered corrupted, since the wire format
-	// carries no checksum. Both outcomes are counted.
+	// decoding it again: one that no longer decodes exactly (a wire
+	// reader would close the stream) is dropped, one that still decodes
+	// arrives damaged — the protocol layer rejects *structural* damage
+	// (size mismatches, unknown tokens), while a payload-bit flip is
+	// delivered corrupted, since the wire format carries no checksum.
+	// Both outcomes are counted.
 	Corrupt
 	// Delay holds the frame for the rule's Delay before delivering it.
 	Delay
@@ -245,13 +246,15 @@ func (in *Injector) recv(src packet.NodeID, f *packet.Frame) {
 		h := in.onRecv
 		in.mu.Unlock()
 		cf := in.corrupt(f)
-		// The corrupted copy (which aliases its own encoding) travels on;
-		// the original is terminally consumed here.
+		// The corrupted copy travels on as a pooled frame backed by its
+		// own wire buffer; the original is terminally consumed here.
 		if f.Backed() {
 			packet.ReleaseFrame(f)
 		}
 		if cf != nil && h != nil {
 			h(src, cf)
+		} else if cf != nil {
+			packet.ReleaseFrame(cf)
 		}
 	case Delay:
 		d := verdict.Delay
@@ -280,18 +283,22 @@ func (in *Injector) recv(src packet.NodeID, f *packet.Frame) {
 	}
 }
 
-// corrupt flips 1–4 random bits in the frame's encoding and re-decodes.
-// The draw count is fixed per invocation so the decision stream stays
-// aligned across runs.
+// corrupt flips 1–4 random bits in the frame's encoding and re-decodes it
+// through the wire readers' decode step, so the copy is a pooled, backed
+// frame and the framing checks are a real reader's. The draw count is
+// fixed per invocation so the decision stream stays aligned across runs.
 func (in *Injector) corrupt(f *packet.Frame) *packet.Frame {
-	enc := f.Encode(nil)
+	vec, _ := f.EncodeVec(nil, nil)
+	buf := packet.GetBuf(f.WireSize())
+	buf.B = packet.IOVec(vec).Flatten(buf.B)
+	enc := buf.B
 	in.mu.Lock()
 	flips := in.rng.Range(1, 4)
 	for i := 0; i < flips; i++ {
 		enc[in.rng.Intn(len(enc))] ^= byte(1 << in.rng.Intn(8))
 	}
 	in.mu.Unlock()
-	cf, _, err := packet.Decode(enc)
+	cf, err := packet.DecodeBuf(buf)
 	if err != nil {
 		return nil // corruption broke the framing: the frame is gone
 	}

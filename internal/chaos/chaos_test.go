@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -240,6 +243,196 @@ func TestInjectorCorruptCounts(t *testing.T) {
 	}
 	if survivors > n {
 		t.Fatalf("corruption multiplied frames: %d survivors of %d", survivors, n)
+	}
+}
+
+// fingerprintFrame builds a single-entry data frame whose payload
+// fingerprints seq in every byte (the ownership tests' construction), so a
+// payload overwritten through a recycled buffer cannot pass for intact.
+func fingerprintFrame(seq, size int) *packet.Frame {
+	payload := make([]byte, size)
+	binary.BigEndian.PutUint32(payload, uint32(seq))
+	for i := 4; i < len(payload); i++ {
+		payload[i] = byte(seq)
+	}
+	return &packet.Frame{
+		Kind: packet.FrameData, Src: 0, Dst: 1,
+		Entries: []packet.Entry{{Flow: 1, Msg: 1, Seq: seq, Last: true, Payload: payload}},
+	}
+}
+
+// wireBytes is f's wire form as one contiguous buffer.
+func wireBytes(f *packet.Frame) []byte {
+	vec, _ := f.EncodeVec(nil, nil)
+	return packet.IOVec(vec).Flatten(nil)
+}
+
+// backedFrame plays a wire reader's arrival of f: its encoding in a pooled
+// buffer, decoded into a pooled frame that the buffer backs.
+func backedFrame(t *testing.T, f *packet.Frame) *packet.Frame {
+	enc := wireBytes(f)
+	buf := packet.GetBuf(len(enc))
+	copy(buf.B, enc)
+	bf, err := packet.DecodeBuf(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bf
+}
+
+// TestInjectorCorruptSurvivorsArePooled: a corrupted copy arrives the way
+// a frame read off a socket does — pooled and backed — and releasing it
+// hands its wire buffer back to the buffer pool.
+func TestInjectorCorruptSurvivorsArePooled(t *testing.T) {
+	fd := &fakeDriver{}
+	inj, err := NewInjector(fd, simnet.NewRNG(testSeed(t, 9)), Rule{Kind: Corrupt, Prob: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors, recycled := 0, 0
+	inj.SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+		survivors++
+		if !f.Backed() {
+			t.Fatalf("corrupted copy is not backed by a wire buffer: %v", f)
+		}
+		if f.Kind != packet.FrameData || len(f.Entries) != 1 {
+			t.Fatalf("a frame that changed shape decoded exactly: %v", f)
+		}
+		first, size := &f.Entries[0].Payload[0], f.WireSize()
+		packet.ReleaseFrame(f)
+		// The released buffer is the pool's most recent Put on this P, so
+		// one of the next two Gets of its size class returns it (a pool
+		// may also drop it: only some of the releases need to show).
+		a, b := packet.GetBuf(size), packet.GetBuf(size)
+		off := packet.HeaderSize + packet.SubHeaderSize
+		if &a.B[off] == first || &b.B[off] == first {
+			recycled++
+		}
+		packet.PutBuf(a)
+		packet.PutBuf(b)
+	})
+	const n = 50
+	for i := 0; i < n; i++ {
+		fd.Deliver(0, fingerprintFrame(i, 64))
+	}
+	if survivors == 0 || recycled == 0 {
+		t.Fatalf("%d survivors of %d, %d of them seen back in the buffer pool", survivors, n, recycled)
+	}
+}
+
+// TestInjectorCorruptDeterministic: the same seed over the same arrivals
+// yields byte-identical survivors, with backed frames (a wire reader's
+// arrivals) released by the injector as it consumes them.
+func TestInjectorCorruptDeterministic(t *testing.T) {
+	seed := testSeed(t, 21)
+	run := func() [][]byte {
+		fd := &fakeDriver{}
+		inj, err := NewInjector(fd, simnet.NewRNG(seed), Rule{Kind: Corrupt, Prob: 1.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		inj.SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+			got = append(got, wireBytes(f))
+			packet.ReleaseFrame(f)
+		})
+		for i := 0; i < 100; i++ {
+			fd.Deliver(0, backedFrame(t, fingerprintFrame(i, 64)))
+		}
+		return got
+	}
+	a, b := run(), run()
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("survivors: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("survivor %d differs between same-seed runs:\n%x\n%x", i, a[i], b[i])
+		}
+	}
+}
+
+// TestInjectorCorruptMeshFingerprints runs corruption over a real socket:
+// fingerprinted frames cross a 2-node mesh into an injector that corrupts
+// every one. The sink holds every survivor unreleased while later arrivals
+// keep taking buffers from the same pools, so a survivor whose buffer was
+// recycled while still aliased would change under it. The survivors must
+// be byte-identical to those of a same-seed injector fed the same frames
+// without a wire, and unchanged when finally released.
+func TestInjectorCorruptMeshFingerprints(t *testing.T) {
+	const frames, size = 100, 512
+	seed := testSeed(t, 33)
+	rule := Rule{Kind: Corrupt, Prob: 1.0, Frames: []packet.FrameKind{packet.FrameData}}
+	sentinel := &packet.Frame{Kind: packet.FrameAck, Src: 0, Dst: 1, Ctrl: packet.Ctrl{Token: 1 << 40}}
+
+	// Oracle: the same arrivals through a same-seed injector, no wire.
+	fd := &fakeDriver{}
+	oracle, err := NewInjector(fd, simnet.NewRNG(seed), rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	oracle.SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+		want = append(want, wireBytes(f))
+		packet.ReleaseFrame(f)
+	})
+	for seq := 0; seq < frames; seq++ {
+		fd.Deliver(0, fingerprintFrame(seq, size))
+	}
+	fd.Deliver(0, sentinel)
+
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	inj, err := NewInjector(nodes[1], simnet.NewRNG(seed), rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []*packet.Frame
+	var got [][]byte
+	done := make(chan struct{})
+	inj.SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+		held = append(held, f)
+		got = append(got, wireBytes(f))
+		if f.Kind == packet.FrameAck && f.Ctrl.Token == sentinel.Ctrl.Token {
+			close(done)
+		}
+	})
+	post := func(f *packet.Frame) {
+		for {
+			err := nodes[0].Post(0, f, 0)
+			if err == nil {
+				return
+			}
+			if !errors.Is(err, drivers.ErrChannelBusy) {
+				t.Fatal(err)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for seq := 0; seq < frames; seq++ {
+		post(fingerprintFrame(seq, size))
+	}
+	post(sentinel)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sentinel frame never arrived")
+	}
+
+	if len(got) != len(want) {
+		t.Fatalf("%d survivors over the mesh, %d without a wire", len(got), len(want))
+	}
+	for i, f := range held {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("survivor %d differs from the same-seed oracle:\n got %x\nwant %x", i, got[i], want[i])
+		}
+		if now := wireBytes(f); !bytes.Equal(now, got[i]) {
+			t.Fatalf("survivor %d changed while held — its buffer was recycled while aliased:\narrived %x\n    now %x", i, got[i], now)
+		}
+		packet.ReleaseFrame(f)
 	}
 }
 

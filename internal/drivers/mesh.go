@@ -192,14 +192,11 @@ func (m *Mesh) reader(c net.Conn) {
 			m.inboundFailed(src, c)
 			return
 		}
-		f := packet.AcquireFrame()
-		if _, err := packet.DecodeInto(f, buf.B); err != nil {
-			packet.ReleaseFrame(f)
-			packet.PutBuf(buf)
+		f, err := packet.DecodeBuf(buf)
+		if err != nil {
 			m.inboundFailed(src, c)
-			return
+			return // corrupt stream, trailing bytes included
 		}
-		f.SetBacking(buf)
 		m.mu.Lock()
 		h := m.onRecv
 		m.mu.Unlock()
@@ -267,6 +264,9 @@ func (m *Mesh) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	}
 	if n := f.WireSize(); n > maxMeshFrame {
 		return fmt.Errorf("drivers: frame of %d bytes exceeds the %d-byte mesh limit", n, maxMeshFrame)
+	}
+	if n := len(f.Entries); n > packet.MaxEntries {
+		return fmt.Errorf("drivers: frame of %d entries exceeds the %d-entry wire limit", n, packet.MaxEntries)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,6 +1,7 @@
 package drivers
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -396,5 +397,93 @@ func TestMeshCorruptStreamClosesReader(t *testing.T) {
 	case <-recv:
 	case <-time.After(5 * time.Second):
 		t.Fatal("frame lost after a corrupt stream from a stranger")
+	}
+}
+
+// TestMeshTrailingBytesClosesReader: a frame that decodes from fewer bytes
+// than its length prefix announced leaves the reader out of step with the
+// stream, so the reader treats it as corrupt — the frame is not delivered,
+// the connection is closed, and healthy connections keep flowing.
+func TestMeshTrailingBytesClosesReader(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	// Room for the stranger's frame and the healthy one, so a reader that
+	// wrongly delivers the first never blocks on this channel.
+	recv := make(chan packet.NodeID, 2)
+	nodes[1].SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
+		packet.ReleaseFrame(f)
+		recv <- src
+	})
+
+	conn, err := net.DialTimeout("tcp", nodes[1].Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Hello as unknown node 9, then a prefix covering the frame plus 3
+	// junk bytes, the frame, and the junk.
+	vec, _ := simpleFrame(9, 1, 32).EncodeVec(nil, nil)
+	enc := packet.IOVec(vec).Flatten(nil)
+	msg := binary.BigEndian.AppendUint32([]byte{0, 0, 0, 9}, uint32(len(enc)+3))
+	msg = append(append(msg, enc...), 0xA, 0xB, 0xC)
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var b [1]byte
+	_, err = conn.Read(b[:])
+	if !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("stream with trailing bytes not closed by the reader: read returned %v", err)
+	}
+
+	if err := nodes[0].Post(0, simpleFrame(0, 1, 32), 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case src := <-recv:
+		if src != 0 {
+			t.Fatalf("frame from node %d delivered despite its trailing bytes", src)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame lost after a stream with trailing bytes")
+	}
+}
+
+// TestMeshPostRejectsEntryCountOverflow: the wire counts entries in 16
+// bits, so Post refuses a frame of more than packet.MaxEntries entries
+// instead of sending one that decodes as a different, shorter frame.
+func TestMeshPostRejectsEntryCountOverflow(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	f := &packet.Frame{Kind: packet.FrameData, Src: 0, Dst: 1,
+		Entries: make([]packet.Entry, packet.MaxEntries+1)}
+	if err := nodes[0].Post(0, f, 0); err == nil {
+		t.Fatalf("frame of %d entries posted", len(f.Entries))
+	}
+	if !nodes[0].ChannelIdle(0) {
+		t.Fatal("refused frame left its channel busy")
+	}
+	f.Entries = f.Entries[:packet.MaxEntries]
+	got := make(chan int, 1)
+	nodes[1].SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+		got <- len(f.Entries)
+		packet.ReleaseFrame(f)
+	})
+	if err := nodes[0].Post(0, f, 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-got:
+		if n != packet.MaxEntries {
+			t.Fatalf("received %d entries, posted %d", n, packet.MaxEntries)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("frame of MaxEntries entries not delivered")
 	}
 }

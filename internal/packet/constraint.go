@@ -61,12 +61,16 @@ type AggregateLimits struct {
 // Note MaxIOV does not cap the sub-packet count when the driver lacks
 // gather: a copy-based aggregate is a single contiguous buffer regardless
 // of how many packets fed it. The distinction costs copy time, not a slot;
-// strategies account for it via the cost model.
+// strategies account for it via the cost model. The wire's MaxEntries
+// caps every frame.
 func CanAppend(pkt *Packet, count, size int, dst NodeID, lim AggregateLimits) bool {
 	if pkt.Dst != dst {
 		return false
 	}
 	if size+pkt.Size() > lim.MaxAggregate {
+		return false
+	}
+	if count+1 > MaxEntries {
 		return false
 	}
 	if lim.MaxIOV > 1 && count+1 > lim.MaxIOV {

@@ -9,9 +9,8 @@ import (
 	"newmad/internal/simnet"
 )
 
-// Decode must never panic, whatever bytes arrive: a real transport can
-// deliver garbage, and the Mesh driver feeds Decode straight from the
-// socket. These adversarial-input tests are the property-based complement
+// DecodeInto must never panic, whatever bytes arrive: a real transport can
+// deliver garbage, and the Mesh driver decodes straight from the socket. These adversarial-input tests are the property-based complement
 // to the round-trip tests in wire_test.go.
 
 func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
@@ -19,10 +18,10 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 		// Any outcome is fine except a panic.
 		defer func() {
 			if recover() != nil {
-				t.Errorf("Decode panicked on %x", data)
+				t.Errorf("DecodeInto panicked on %x", data)
 			}
 		}()
-		_, _, _ = Decode(data)
+		_, _ = DecodeInto(&Frame{}, data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -42,7 +41,7 @@ func TestDecodeNeverPanicsOnCorruptedFrames(t *testing.T) {
 			{Flow: 2, Msg: 1, Seq: 0, Payload: make([]byte, 5)},
 		},
 	}
-	enc := base.Encode(nil)
+	enc := encode(base)
 	for trial := 0; trial < 5000; trial++ {
 		data := append([]byte(nil), enc...)
 		flips := rng.Range(1, 4)
@@ -52,10 +51,11 @@ func TestDecodeNeverPanicsOnCorruptedFrames(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() != nil {
-					t.Fatalf("Decode panicked on corrupted frame (trial %d): %x", trial, data)
+					t.Fatalf("DecodeInto panicked on corrupted frame (trial %d): %x", trial, data)
 				}
 			}()
-			f, n, err := Decode(data)
+			f := &Frame{}
+			n, err := DecodeInto(f, data)
 			if err == nil {
 				// A successfully decoded frame must be internally
 				// consistent: consumed bytes within bounds, payload
@@ -95,37 +95,39 @@ func fuzzSeedFrames() []*Frame {
 
 // FuzzDecode is the go-fuzz harness for the wire path the real-socket mesh
 // rails feed straight from their sockets: arbitrary bytes must never panic
-// Decode, every error must be one of the declared decode errors, and any
+// DecodeInto, every error must be one of the declared decode errors, the
+// result must not depend on stale state in the target frame, and any
 // successfully decoded frame must re-encode to a fixed point (encode →
 // decode → encode is byte-identical, with WireSize agreeing).
 func FuzzDecode(f *testing.F) {
 	for _, fr := range fuzzSeedFrames() {
-		f.Add(fr.Encode(nil))
+		f.Add(encode(fr))
 	}
 	// Corrupt shapes: empty, short, bad magic, bad kind, lying lengths.
 	f.Add([]byte{})
 	f.Add([]byte{0x4D})
 	f.Add([]byte{0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x4D, 0x61, 0x63, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2})
-	lying := fuzzSeedFrames()[0].Encode(nil)
+	lying := encode(fuzzSeedFrames()[0])
 	lying[3], lying[4] = 0xFF, 0xFF // entry count far beyond the data
 	f.Add(lying)
 	// Preallocation bomb: a minimal data-frame header whose count field
-	// demands ~64Ki entries while the body holds none. Decode must clamp
+	// demands ~64Ki entries while the body holds none. Decoding must clamp
 	// its Entries preallocation to what the bytes could possibly hold
 	// instead of trusting the count.
-	bomb := (&Frame{Kind: FrameData, Src: 1, Dst: 2}).Encode(nil)
+	bomb := encode(&Frame{Kind: FrameData, Src: 1, Dst: 2})
 	bomb[3], bomb[4] = 0xFF, 0xFF
 	f.Add(bomb)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := Decode(data)
-		// DecodeInto must agree with Decode bit for bit, including when
-		// the target frame carries stale state from a previous decode.
-		reused := &Frame{Entries: make([]Entry, 2, 2)}
+		fr := &Frame{}
+		n, err := DecodeInto(fr, data)
+		// Decoding into a frame carrying stale state from a previous
+		// decode must agree bit for bit with decoding into a fresh one.
+		reused := &Frame{Entries: make([]Entry, 2, 2), Bulk: []byte("stale"), Ctrl: Ctrl{Token: 99}}
 		n2, err2 := DecodeInto(reused, data)
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("Decode err %v but DecodeInto err %v", err, err2)
+		if err != err2 {
+			t.Fatalf("fresh frame err %v but reused frame err %v", err, err2)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrBadKind) {
@@ -137,32 +139,24 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		if n2 != n {
-			t.Fatalf("DecodeInto consumed %d, Decode consumed %d", n2, n)
+			t.Fatalf("reused frame consumed %d, fresh frame consumed %d", n2, n)
 		}
-		enc := fr.Encode(nil)
+		enc := encode(fr)
 		if len(enc) != fr.WireSize() {
 			t.Fatalf("WireSize %d != encoded length %d", fr.WireSize(), len(enc))
 		}
-		if encReused := reused.Encode(nil); !bytes.Equal(enc, encReused) {
-			t.Fatalf("DecodeInto disagrees with Decode:\n  decode %x\nreused %x", enc, encReused)
+		if encReused := encode(reused); !bytes.Equal(enc, encReused) {
+			t.Fatalf("reused frame disagrees with fresh frame:\n  fresh %x\nreused %x", enc, encReused)
 		}
-		// The vectored encoder must concatenate to Encode's bytes.
-		vec, _ := fr.EncodeVec(nil, nil)
-		var concat []byte
-		for _, seg := range vec {
-			concat = append(concat, seg...)
-		}
-		if !bytes.Equal(concat, enc) {
-			t.Fatalf("EncodeVec disagrees with Encode:\n   vec %x\nencode %x", concat, enc)
-		}
-		fr2, n2, err := Decode(enc)
+		fr2 := &Frame{}
+		n2, err = DecodeInto(fr2, enc)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame failed: %v", err)
 		}
 		if n2 != len(enc) {
 			t.Fatalf("re-decode consumed %d of %d", n2, len(enc))
 		}
-		if enc2 := fr2.Encode(nil); !bytes.Equal(enc, enc2) {
+		if enc2 := encode(fr2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("encode not a fixed point:\n first %x\nsecond %x", enc, enc2)
 		}
 	})
@@ -174,15 +168,15 @@ func TestDecodeNeverPanicsOnTruncations(t *testing.T) {
 		Ctrl: Ctrl{Token: 9, Flow: 1, Msg: 2, Seq: 3, Size: 64},
 		Bulk: make([]byte, 64),
 	}
-	enc := base.Encode(nil)
+	enc := encode(base)
 	for cut := 0; cut <= len(enc); cut++ {
 		func() {
 			defer func() {
 				if recover() != nil {
-					t.Fatalf("Decode panicked at truncation %d", cut)
+					t.Fatalf("DecodeInto panicked at truncation %d", cut)
 				}
 			}()
-			_, _, _ = Decode(enc[:cut])
+			_, _ = DecodeInto(&Frame{}, enc[:cut])
 		}()
 	}
 }

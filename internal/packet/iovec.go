@@ -1,20 +1,9 @@
 package packet
 
-// IOVec is a gather list: the zero-copy representation of an aggregated
-// frame on hardware with gather/scatter support. Drivers whose capability
-// record advertises MaxIOV > 1 accept an IOVec directly; otherwise the
-// engine flattens it through a staging copy (and the cost model charges the
-// memcpy).
+// IOVec names the gather list EncodeVec returns: header segments from the
+// encoder's scratch block interleaved with payload slices held by
+// reference. Flatten joins it into one contiguous buffer.
 type IOVec [][]byte
-
-// Total returns the summed length of all segments.
-func (v IOVec) Total() int {
-	n := 0
-	for _, s := range v {
-		n += len(s)
-	}
-	return n
-}
 
 // Flatten copies all segments into dst (grown as needed) and returns it.
 func (v IOVec) Flatten(dst []byte) []byte {
@@ -23,17 +12,4 @@ func (v IOVec) Flatten(dst []byte) []byte {
 		dst = append(dst, s...)
 	}
 	return dst
-}
-
-// Split re-slices a contiguous buffer into segments of the given lengths,
-// the inverse of Flatten. It panics when lengths exceed the buffer; the
-// engine only calls it with lengths recorded at Flatten time.
-func Split(buf []byte, lengths []int) IOVec {
-	out := make(IOVec, 0, len(lengths))
-	off := 0
-	for _, n := range lengths {
-		out = append(out, buf[off:off+n:off+n])
-		off += n
-	}
-	return out
 }

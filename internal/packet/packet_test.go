@@ -125,6 +125,15 @@ func TestCanAppend(t *testing.T) {
 	if CanAppend(p, 10, 70, 1, copyLim) {
 		t.Fatal("copy-based aggregation still byte-limited")
 	}
+	// Every frame is capped by the wire's 16-bit entry count: entry
+	// number MaxEntries+1 would make the count wrap.
+	empty := &Packet{Dst: 1}
+	if !CanAppend(empty, MaxEntries-1, 0, 1, copyLim) {
+		t.Fatalf("entry number %d refused", MaxEntries)
+	}
+	if CanAppend(empty, MaxEntries, 0, 1, copyLim) {
+		t.Fatalf("entry number %d accepted: the wire's entry count would wrap", MaxEntries+1)
+	}
 }
 
 func TestOrderedSubset(t *testing.T) {

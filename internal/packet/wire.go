@@ -108,15 +108,6 @@ func EntryFromPacket(p *Packet) Entry {
 	}
 }
 
-// ToPacket reconstructs a receiver-side packet view of the entry.
-func (e Entry) ToPacket(src, dst NodeID) *Packet {
-	return &Packet{
-		Flow: e.Flow, Msg: e.Msg, Seq: e.Seq, Last: e.Last,
-		Src: src, Dst: dst, Class: e.Class, Recv: e.Recv, Payload: e.Payload,
-		Enqueued: e.Enqueued,
-	}
-}
-
 // Ctrl carries the metadata of control transactions.
 type Ctrl struct {
 	// Token correlates RTS/CTS/RData (rendezvous handle) or Get/GetReply.
@@ -153,92 +144,47 @@ const (
 	classShift  = 2 // class stored in bits 2..3
 )
 
+// MaxEntries is the most sub-packets one data frame can carry: the wire
+// header counts entries in 16 bits.
+const MaxEntries = 1<<16 - 1
+
+// hasBulk reports whether frames of kind k carry a length-prefixed bulk
+// payload after the control block.
+func (k FrameKind) hasBulk() bool {
+	return k == FrameRData || k == FramePut || k == FrameGetReply
+}
+
+// metaSize returns the encoded length of everything but payload and bulk
+// bytes — the one place that knows each kind's header layout.
+func (f *Frame) metaSize() int {
+	switch {
+	case f.Kind == FrameData:
+		return HeaderSize + len(f.Entries)*SubHeaderSize
+	case f.Kind.hasBulk():
+		return HeaderSize + CtrlSize + 4
+	default:
+		return HeaderSize + CtrlSize
+	}
+}
+
 // WireSize returns the total encoded length of the frame in bytes; the
 // simulated drivers charge serialization for exactly this many bytes.
-func (f *Frame) WireSize() int {
-	n := HeaderSize
-	switch f.Kind {
-	case FrameData:
-		for i := range f.Entries {
-			n += SubHeaderSize + len(f.Entries[i].Payload)
-		}
-	case FrameRData, FramePut, FrameGetReply:
-		n += CtrlSize + 4 + len(f.Bulk)
-	default:
-		n += CtrlSize
-	}
-	return n
-}
+func (f *Frame) WireSize() int { return f.metaSize() + f.PayloadSize() }
 
 // PayloadSize returns the useful (application) bytes in the frame.
 func (f *Frame) PayloadSize() int {
-	switch f.Kind {
-	case FrameData:
+	switch {
+	case f.Kind == FrameData:
 		n := 0
 		for i := range f.Entries {
 			n += len(f.Entries[i].Payload)
 		}
 		return n
-	case FrameRData, FramePut, FrameGetReply:
+	case f.Kind.hasBulk():
 		return len(f.Bulk)
 	default:
 		return 0
 	}
-}
-
-// Encode appends the frame's wire form to dst and returns the result.
-func (f *Frame) Encode(dst []byte) []byte {
-	var tmp [12]byte
-	binary.BigEndian.PutUint16(tmp[0:], frameMagic)
-	tmp[2] = byte(f.Kind)
-	binary.BigEndian.PutUint16(tmp[3:], uint16(len(f.Entries)))
-	dst = append(dst, tmp[:5]...)
-	binary.BigEndian.PutUint32(tmp[0:], uint32(f.Src))
-	binary.BigEndian.PutUint32(tmp[4:], uint32(f.Dst))
-	dst = append(dst, tmp[:8]...)
-
-	switch f.Kind {
-	case FrameData:
-		for i := range f.Entries {
-			e := &f.Entries[i]
-			binary.BigEndian.PutUint32(tmp[0:], uint32(e.Flow))
-			binary.BigEndian.PutUint64(tmp[4:], uint64(e.Msg))
-			dst = append(dst, tmp[:12]...)
-			binary.BigEndian.PutUint32(tmp[0:], uint32(e.Seq))
-			flags := byte(e.Class) << classShift
-			if e.Last {
-				flags |= flagLast
-			}
-			if e.Recv == RecvExpress {
-				flags |= flagExpress
-			}
-			tmp[4] = flags
-			binary.BigEndian.PutUint32(tmp[5:], uint32(len(e.Payload)))
-			dst = append(dst, tmp[:9]...)
-			dst = append(dst, e.Payload...)
-		}
-	default:
-		c := &f.Ctrl
-		binary.BigEndian.PutUint64(tmp[0:], c.Token)
-		binary.BigEndian.PutUint32(tmp[8:], uint32(c.Flow))
-		dst = append(dst, tmp[:12]...)
-		binary.BigEndian.PutUint64(tmp[0:], uint64(c.Msg))
-		binary.BigEndian.PutUint32(tmp[8:], uint32(c.Seq))
-		dst = append(dst, tmp[:12]...)
-		binary.BigEndian.PutUint32(tmp[0:], uint32(c.Size))
-		if c.Last {
-			tmp[4] = 1
-		} else {
-			tmp[4] = 0
-		}
-		dst = append(dst, tmp[:5]...)
-		if f.Kind == FrameRData || f.Kind == FramePut || f.Kind == FrameGetReply {
-			binary.BigEndian.PutUint32(tmp[0:], uint32(len(f.Bulk)))
-			dst = append(dst, tmp[:4]...)
-			dst = append(dst, f.Bulk...)
-		}
-	}
-	return dst
 }
 
 // EncodeVec appends the frame's wire form to vec as a gather list: header
@@ -246,21 +192,15 @@ func (f *Frame) Encode(dst []byte) []byte {
 // up front, so earlier segments never dangle) and payload/bulk slices are
 // referenced directly — no payload memcpy. Any bytes already in meta (a
 // transport's length prefix, say) become the head of the first segment.
-// The concatenation of the appended segments equals Encode's output.
+// The concatenation of the appended segments is the frame's wire form,
+// WireSize bytes long; IOVec.Flatten joins them where a contiguous copy is
+// needed.
 //
 // The caller owns meta and every payload until the write completes; reuse
 // meta across frames (it holds only headers, ~HeaderSize +
 // entries·SubHeaderSize bytes).
 func (f *Frame) EncodeVec(vec [][]byte, meta []byte) ([][]byte, []byte) {
-	need := len(meta) + HeaderSize
-	switch f.Kind {
-	case FrameData:
-		need += len(f.Entries) * SubHeaderSize
-	case FrameRData, FramePut, FrameGetReply:
-		need += CtrlSize + 4
-	default:
-		need += CtrlSize
-	}
+	need := len(meta) + f.metaSize()
 	if cap(meta) < need {
 		grown := make([]byte, len(meta), need)
 		copy(grown, meta)
@@ -268,23 +208,17 @@ func (f *Frame) EncodeVec(vec [][]byte, meta []byte) ([][]byte, []byte) {
 	}
 	segStart := 0
 
-	var tmp [12]byte
-	binary.BigEndian.PutUint16(tmp[0:], frameMagic)
-	tmp[2] = byte(f.Kind)
-	binary.BigEndian.PutUint16(tmp[3:], uint16(len(f.Entries)))
-	meta = append(meta, tmp[:5]...)
-	binary.BigEndian.PutUint32(tmp[0:], uint32(f.Src))
-	binary.BigEndian.PutUint32(tmp[4:], uint32(f.Dst))
-	meta = append(meta, tmp[:8]...)
+	be := binary.BigEndian
+	meta = be.AppendUint16(meta, frameMagic)
+	meta = append(meta, byte(f.Kind))
+	meta = be.AppendUint16(meta, uint16(len(f.Entries)))
+	meta = be.AppendUint32(meta, uint32(f.Src))
+	meta = be.AppendUint32(meta, uint32(f.Dst))
 
 	switch f.Kind {
 	case FrameData:
 		for i := range f.Entries {
 			e := &f.Entries[i]
-			binary.BigEndian.PutUint32(tmp[0:], uint32(e.Flow))
-			binary.BigEndian.PutUint64(tmp[4:], uint64(e.Msg))
-			meta = append(meta, tmp[:12]...)
-			binary.BigEndian.PutUint32(tmp[0:], uint32(e.Seq))
 			flags := byte(e.Class) << classShift
 			if e.Last {
 				flags |= flagLast
@@ -292,9 +226,11 @@ func (f *Frame) EncodeVec(vec [][]byte, meta []byte) ([][]byte, []byte) {
 			if e.Recv == RecvExpress {
 				flags |= flagExpress
 			}
-			tmp[4] = flags
-			binary.BigEndian.PutUint32(tmp[5:], uint32(len(e.Payload)))
-			meta = append(meta, tmp[:9]...)
+			meta = be.AppendUint32(meta, uint32(e.Flow))
+			meta = be.AppendUint64(meta, uint64(e.Msg))
+			meta = be.AppendUint32(meta, uint32(e.Seq))
+			meta = append(meta, flags)
+			meta = be.AppendUint32(meta, uint32(len(e.Payload)))
 			if len(e.Payload) > 0 {
 				vec = append(vec, meta[segStart:len(meta):len(meta)], e.Payload)
 				segStart = len(meta)
@@ -302,22 +238,18 @@ func (f *Frame) EncodeVec(vec [][]byte, meta []byte) ([][]byte, []byte) {
 		}
 	default:
 		c := &f.Ctrl
-		binary.BigEndian.PutUint64(tmp[0:], c.Token)
-		binary.BigEndian.PutUint32(tmp[8:], uint32(c.Flow))
-		meta = append(meta, tmp[:12]...)
-		binary.BigEndian.PutUint64(tmp[0:], uint64(c.Msg))
-		binary.BigEndian.PutUint32(tmp[8:], uint32(c.Seq))
-		meta = append(meta, tmp[:12]...)
-		binary.BigEndian.PutUint32(tmp[0:], uint32(c.Size))
+		last := byte(0)
 		if c.Last {
-			tmp[4] = 1
-		} else {
-			tmp[4] = 0
+			last = 1
 		}
-		meta = append(meta, tmp[:5]...)
-		if f.Kind == FrameRData || f.Kind == FramePut || f.Kind == FrameGetReply {
-			binary.BigEndian.PutUint32(tmp[0:], uint32(len(f.Bulk)))
-			meta = append(meta, tmp[:4]...)
+		meta = be.AppendUint64(meta, c.Token)
+		meta = be.AppendUint32(meta, uint32(c.Flow))
+		meta = be.AppendUint64(meta, uint64(c.Msg))
+		meta = be.AppendUint32(meta, uint32(c.Seq))
+		meta = be.AppendUint32(meta, uint32(c.Size))
+		meta = append(meta, last)
+		if f.Kind.hasBulk() {
+			meta = be.AppendUint32(meta, uint32(len(f.Bulk)))
 			if len(f.Bulk) > 0 {
 				vec = append(vec, meta[segStart:len(meta):len(meta)], f.Bulk)
 				segStart = len(meta)
@@ -335,24 +267,14 @@ var (
 	ErrTruncated = errors.New("packet: truncated frame")
 	ErrBadMagic  = errors.New("packet: bad frame magic")
 	ErrBadKind   = errors.New("packet: unknown frame kind")
+	ErrTrailing  = errors.New("packet: trailing bytes after frame")
 )
 
-// Decode parses one frame from data, returning the frame and the number of
-// bytes consumed. Payload slices alias data.
-func Decode(data []byte) (*Frame, int, error) {
-	f := &Frame{}
-	n, err := DecodeInto(f, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return f, n, nil
-}
-
-// DecodeInto is the pooling-aware decoder: it parses one frame from data
-// into f, reusing f's Entries backing array, and returns the number of
-// bytes consumed. Payload slices alias data — callers recycling data (the
-// wire drivers) attach it with SetBacking so ReleaseFrame can route it
-// back. On error f's contents are unspecified; reset or release it.
+// DecodeInto parses one frame from the front of data into f, reusing f's
+// Entries backing array, and returns the number of bytes consumed; bytes
+// past the frame are left for the caller (a stream of frames decodes one
+// prefix at a time). Payload slices alias data. On error f's contents are
+// unspecified; reset or release it. Wire receivers use DecodeBuf.
 func DecodeInto(f *Frame, data []byte) (int, error) {
 	if len(data) < HeaderSize {
 		return 0, ErrTruncated
@@ -422,7 +344,7 @@ func DecodeInto(f *Frame, data []byte) (int, error) {
 		c.Size = int(binary.BigEndian.Uint32(data[off+24:]))
 		c.Last = data[off+28] != 0
 		off += CtrlSize
-		if kind == FrameRData || kind == FramePut || kind == FrameGetReply {
+		if kind.hasBulk() {
 			if len(data) < off+4 {
 				return 0, ErrTruncated
 			}
@@ -436,6 +358,26 @@ func DecodeInto(f *Frame, data []byte) (int, error) {
 		}
 	}
 	return off, nil
+}
+
+// DecodeBuf is the receive path's one decode step: it decodes the frame
+// that fills b.B into a pooled frame backed by b, so ReleaseFrame later
+// recycles both (DESIGN.md §5). A frame that ends before b.B does fails
+// with ErrTrailing: the length prefix and the frame disagree, so the
+// stream is corrupt. On error the frame and b are back in their pools.
+func DecodeBuf(b *Buf) (*Frame, error) {
+	f := AcquireFrame()
+	n, err := DecodeInto(f, b.B)
+	if err == nil && n != len(b.B) {
+		err = ErrTrailing
+	}
+	if err != nil {
+		ReleaseFrame(f)
+		PutBuf(b)
+		return nil, err
+	}
+	f.SetBacking(b)
+	return f, nil
 }
 
 // String summarizes the frame for traces.

@@ -2,10 +2,23 @@ package packet
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// encode is f's wire form as one contiguous buffer: EncodeVec's segments
+// flattened.
+func encode(f *Frame) []byte {
+	vec, _ := f.EncodeVec(nil, nil)
+	return IOVec(vec).Flatten(nil)
+}
 
 func TestFrameDataRoundTrip(t *testing.T) {
 	f := &Frame{
@@ -17,11 +30,12 @@ func TestFrameDataRoundTrip(t *testing.T) {
 			{Flow: 1, Msg: 10, Seq: 1, Last: true, Class: ClassBulk, Recv: RecvCheaper, Payload: bytes.Repeat([]byte{0xAB}, 300)},
 		},
 	}
-	enc := f.Encode(nil)
+	enc := encode(f)
 	if len(enc) != f.WireSize() {
 		t.Fatalf("encoded %d bytes, WireSize says %d", len(enc), f.WireSize())
 	}
-	got, n, err := Decode(enc)
+	got := &Frame{}
+	n, err := DecodeInto(got, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +63,12 @@ func TestFrameCtrlRoundTrip(t *testing.T) {
 			Kind: kind, Src: 1, Dst: 2,
 			Ctrl: Ctrl{Token: 123456789, Flow: 4, Msg: 5, Seq: 6, Size: 70000, Last: true},
 		}
-		enc := f.Encode(nil)
+		enc := encode(f)
 		if len(enc) != f.WireSize() {
 			t.Fatalf("%v: encoded %d, WireSize %d", kind, len(enc), f.WireSize())
 		}
-		got, _, err := Decode(enc)
-		if err != nil {
+		got := &Frame{}
+		if _, err := DecodeInto(got, enc); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if got.Ctrl != f.Ctrl {
@@ -70,8 +84,9 @@ func TestFrameBulkRoundTrip(t *testing.T) {
 			Ctrl: Ctrl{Token: 7, Flow: 1, Msg: 2, Seq: 3, Size: 1000},
 			Bulk: bytes.Repeat([]byte{0x5A}, 1000),
 		}
-		enc := f.Encode(nil)
-		got, n, err := Decode(enc)
+		enc := encode(f)
+		got := &Frame{}
+		n, err := DecodeInto(got, enc)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -85,51 +100,53 @@ func TestFrameBulkRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err != ErrTruncated {
+	var into Frame
+	if _, err := DecodeInto(&into, nil); err != ErrTruncated {
 		t.Fatalf("nil: %v", err)
 	}
-	if _, _, err := Decode(make([]byte, 4)); err != ErrTruncated {
+	if _, err := DecodeInto(&into, make([]byte, 4)); err != ErrTruncated {
 		t.Fatalf("short: %v", err)
 	}
-	bad := (&Frame{Kind: FrameData, Src: 1, Dst: 2}).Encode(nil)
+	bad := encode(&Frame{Kind: FrameData, Src: 1, Dst: 2})
 	bad[0] = 0xFF
-	if _, _, err := Decode(bad); err != ErrBadMagic {
+	if _, err := DecodeInto(&into, bad); err != ErrBadMagic {
 		t.Fatalf("magic: %v", err)
 	}
-	bad = (&Frame{Kind: FrameData, Src: 1, Dst: 2}).Encode(nil)
+	bad = encode(&Frame{Kind: FrameData, Src: 1, Dst: 2})
 	bad[2] = 0x7F
-	if _, _, err := Decode(bad); err != ErrBadKind {
+	if _, err := DecodeInto(&into, bad); err != ErrBadKind {
 		t.Fatalf("kind: %v", err)
 	}
 	// Truncated entry payload.
 	f := &Frame{Kind: FrameData, Src: 1, Dst: 2, Entries: []Entry{{Payload: []byte("hello")}}}
-	enc := f.Encode(nil)
-	if _, _, err := Decode(enc[:len(enc)-2]); err != ErrTruncated {
+	enc := encode(f)
+	if _, err := DecodeInto(&into, enc[:len(enc)-2]); err != ErrTruncated {
 		t.Fatalf("truncated payload: %v", err)
 	}
 	// Truncated ctrl.
 	cf := &Frame{Kind: FrameRTS, Src: 1, Dst: 2}
-	cenc := cf.Encode(nil)
-	if _, _, err := Decode(cenc[:HeaderSize+3]); err != ErrTruncated {
+	cenc := encode(cf)
+	if _, err := DecodeInto(&into, cenc[:HeaderSize+3]); err != ErrTruncated {
 		t.Fatalf("truncated ctrl: %v", err)
 	}
 	// Truncated bulk.
 	bf := &Frame{Kind: FramePut, Src: 1, Dst: 2, Bulk: []byte("0123456789")}
-	benc := bf.Encode(nil)
-	if _, _, err := Decode(benc[:len(benc)-1]); err != ErrTruncated {
+	benc := encode(bf)
+	if _, err := DecodeInto(&into, benc[:len(benc)-1]); err != ErrTruncated {
 		t.Fatalf("truncated bulk: %v", err)
 	}
 }
 
 func TestDecodeConsumesExactlyOneFrame(t *testing.T) {
-	a := (&Frame{Kind: FrameAck, Src: 1, Dst: 2, Ctrl: Ctrl{Token: 1}}).Encode(nil)
-	b := (&Frame{Kind: FrameAck, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 2}}).Encode(nil)
+	a := encode(&Frame{Kind: FrameAck, Src: 1, Dst: 2, Ctrl: Ctrl{Token: 1}})
+	b := encode(&Frame{Kind: FrameAck, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 2}})
 	stream := append(append([]byte{}, a...), b...)
-	f1, n1, err := Decode(stream)
+	var f1, f2 Frame
+	n1, err := DecodeInto(&f1, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, n2, err := Decode(stream[n1:])
+	n2, err := DecodeInto(&f2, stream[n1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +162,10 @@ func TestEntryPacketConversion(t *testing.T) {
 	p := &Packet{Flow: 3, Msg: 4, Seq: 5, Last: true, Src: 1, Dst: 2,
 		Class: ClassRMA, Recv: RecvExpress, Payload: []byte("x")}
 	e := EntryFromPacket(p)
-	back := e.ToPacket(1, 2)
-	if back.Flow != p.Flow || back.Msg != p.Msg || back.Seq != p.Seq ||
-		back.Last != p.Last || back.Class != p.Class || back.Recv != p.Recv ||
-		!bytes.Equal(back.Payload, p.Payload) || back.Src != 1 || back.Dst != 2 {
-		t.Fatalf("conversion lost fields: %+v vs %+v", back, p)
+	if e.Flow != p.Flow || e.Msg != p.Msg || e.Seq != p.Seq ||
+		e.Last != p.Last || e.Class != p.Class || e.Recv != p.Recv ||
+		!bytes.Equal(e.Payload, p.Payload) {
+		t.Fatalf("conversion lost fields: %+v vs %+v", e, p)
 	}
 }
 
@@ -189,8 +205,9 @@ func TestFrameRoundTripProperty(t *testing.T) {
 				Payload: bytes.Repeat([]byte{flows[i]}, int(sizes[i])),
 			})
 		}
-		enc := fr.Encode(nil)
-		got, used, err := Decode(enc)
+		enc := encode(fr)
+		got := &Frame{}
+		used, err := DecodeInto(got, enc)
 		if err != nil || used != len(enc) {
 			return false
 		}
@@ -216,17 +233,9 @@ func TestFrameRoundTripProperty(t *testing.T) {
 
 func TestIOVec(t *testing.T) {
 	v := IOVec{[]byte("ab"), []byte("cde"), nil, []byte("f")}
-	if v.Total() != 6 {
-		t.Fatalf("Total = %d", v.Total())
-	}
 	flat := v.Flatten(nil)
 	if string(flat) != "abcdef" {
 		t.Fatalf("Flatten = %q", flat)
-	}
-	parts := Split(flat, []int{2, 3, 0, 1})
-	if len(parts) != 4 || string(parts[0]) != "ab" || string(parts[1]) != "cde" ||
-		len(parts[2]) != 0 || string(parts[3]) != "f" {
-		t.Fatalf("Split = %v", parts)
 	}
 	// Flatten reuses dst capacity.
 	buf := make([]byte, 0, 16)
@@ -246,7 +255,7 @@ func TestDecodeIntoReusesEntries(t *testing.T) {
 		{Flow: 1, Msg: 1, Seq: 0, Payload: []byte("one")},
 		{Flow: 2, Msg: 1, Seq: 0, Last: true, Payload: []byte("two")},
 	}}
-	enc := f1.Encode(nil)
+	enc := encode(f1)
 
 	var into Frame
 	n, err := DecodeInto(&into, enc)
@@ -259,7 +268,7 @@ func TestDecodeIntoReusesEntries(t *testing.T) {
 	f2 := &Frame{Kind: FrameData, Src: 1, Dst: 2, Entries: []Entry{
 		{Flow: 3, Msg: 1, Seq: 0, Last: true, Payload: []byte("three")},
 	}}
-	enc2 := f2.Encode(nil)
+	enc2 := encode(f2)
 	if _, err := DecodeInto(&into, enc2); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +280,7 @@ func TestDecodeIntoReusesEntries(t *testing.T) {
 	}
 	// Control decode into the same frame must clear data-frame state.
 	ctrl := &Frame{Kind: FrameAck, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 5}}
-	if _, err := DecodeInto(&into, ctrl.Encode(nil)); err != nil {
+	if _, err := DecodeInto(&into, encode(ctrl)); err != nil {
 		t.Fatal(err)
 	}
 	if len(into.Entries) != 0 || into.Ctrl.Token != 5 {
@@ -282,10 +291,10 @@ func TestDecodeIntoReusesEntries(t *testing.T) {
 func TestDecodeClampsEntryPrealloc(t *testing.T) {
 	// A header whose count field demands 65535 entries over an empty body
 	// must fail with ErrTruncated without ever allocating room for them.
-	bomb := (&Frame{Kind: FrameData, Src: 1, Dst: 2}).Encode(nil)
+	bomb := encode(&Frame{Kind: FrameData, Src: 1, Dst: 2})
 	bomb[3], bomb[4] = 0xFF, 0xFF
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := Decode(bomb); err != ErrTruncated {
+		if _, err := DecodeInto(&Frame{}, bomb); err != ErrTruncated {
 			t.Fatalf("expected ErrTruncated, got %v", err)
 		}
 	})
@@ -295,36 +304,129 @@ func TestDecodeClampsEntryPrealloc(t *testing.T) {
 	}
 }
 
+// TestEncodeVecMatchesEncode pins EncodeVec to the bytes of the wire format
+// as first specified: frames that are FuzzDecode seeds compare against their
+// committed corpus files, the rest against hex captured from the original
+// flat encoder.
 func TestEncodeVecMatchesEncode(t *testing.T) {
-	frames := []*Frame{
-		{Kind: FrameData, Src: 1, Dst: 2, Entries: []Entry{
+	mustHex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cases := []struct {
+		f    *Frame
+		want []byte
+	}{
+		{&Frame{Kind: FrameData, Src: 1, Dst: 2, Entries: []Entry{
 			{Flow: 1, Msg: 2, Seq: 0, Payload: []byte("head")},
 			{Flow: 1, Msg: 2, Seq: 1, Payload: nil}, // empty payload entry
 			{Flow: 2, Msg: 1, Seq: 0, Last: true, Class: ClassBulk, Recv: RecvExpress, Payload: bytes.Repeat([]byte{0xAB}, 300)},
-		}},
-		{Kind: FrameData, Src: 3, Dst: 4}, // no entries
-		{Kind: FrameRTS, Src: 0, Dst: 3, Ctrl: Ctrl{Token: 7, Flow: 4, Msg: 5, Seq: 6, Size: 1 << 20, Last: true}},
-		{Kind: FrameRData, Src: 0, Dst: 3, Ctrl: Ctrl{Token: 7, Flow: 4, Seq: 6, Size: 64}, Bulk: bytes.Repeat([]byte{0xCD}, 64)},
-		{Kind: FramePut, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 9}, Bulk: nil}, // empty bulk
-		{Kind: FrameAck, Src: 5, Dst: 6, Ctrl: Ctrl{Token: 11}},
+		}}, mustHex("4d6100000300000001000000020000000100000000000000020000000000000000046865616400000001000000000000000200000001000000000000000002000000000000000100000000" +
+			"0b0000012c" + strings.Repeat("ab", 300))},
+		{&Frame{Kind: FrameData, Src: 3, Dst: 4}, mustHex("4d610000000000000300000004")}, // no entries
+		{&Frame{Kind: FrameRTS, Src: 0, Dst: 3, Ctrl: Ctrl{Token: 7, Flow: 4, Msg: 5, Seq: 6, Size: 1 << 20, Last: true}},
+			fuzzCorpusSeed(t, "seed-RTS-1")},
+		{&Frame{Kind: FrameRData, Src: 0, Dst: 3, Ctrl: Ctrl{Token: 7, Flow: 4, Seq: 6, Size: 64}, Bulk: bytes.Repeat([]byte{0xCD}, 64)},
+			fuzzCorpusSeed(t, "seed-RDATA-3")},
+		{&Frame{Kind: FramePut, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 9}, Bulk: nil}, // empty bulk
+			mustHex("4d610400000000000200000001000000000000000900000000000000000000000000000000000000000000000000")},
+		{&Frame{Kind: FrameAck, Src: 5, Dst: 6, Ctrl: Ctrl{Token: 11}},
+			mustHex("4d610700000000000500000006000000000000000b000000000000000000000000000000000000000000")},
 	}
 	var vec [][]byte
 	var meta []byte
-	for _, f := range frames {
-		want := f.Encode(nil)
+	for _, c := range cases {
 		// Pre-existing meta bytes (a transport length prefix) must become
 		// the head of the first segment.
 		meta = append(meta[:0], 0xDE, 0xAD)
-		vec, meta = f.EncodeVec(vec[:0], meta)
+		vec, meta = c.f.EncodeVec(vec[:0], meta)
 		var got []byte
 		for _, seg := range vec {
 			got = append(got, seg...)
 		}
 		if !bytes.Equal(got[:2], []byte{0xDE, 0xAD}) {
-			t.Fatalf("%v: prefix bytes lost", f.Kind)
+			t.Fatalf("%v: prefix bytes lost", c.f.Kind)
 		}
-		if !bytes.Equal(got[2:], want) {
-			t.Fatalf("%v: EncodeVec mismatch\n got %x\nwant %x", f.Kind, got[2:], want)
+		if !bytes.Equal(got[2:], c.want) {
+			t.Fatalf("%v: EncodeVec mismatch\n got %x\nwant %x", c.f.Kind, got[2:], c.want)
 		}
+		if len(c.want) != c.f.WireSize() {
+			t.Fatalf("%v: WireSize %d, encoding is %d bytes", c.f.Kind, c.f.WireSize(), len(c.want))
+		}
+	}
+}
+
+// fuzzCorpusSeed reads one committed FuzzDecode corpus file (the
+// "go test fuzz v1" format holding a single []byte value).
+func fuzzCorpusSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a one-value fuzz corpus file", name)
+	}
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	if !ok || !ok2 {
+		t.Fatalf("%s: value is not a []byte", name)
+	}
+	b, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(b)
+}
+
+// TestEncodeVecMatchesFuzzCorpus: every frame-kind seed in the committed
+// FuzzDecode corpus is exactly EncodeVec's output for the frame
+// fuzzSeedFrames builds, so the corpus doubles as the wire format's oracle.
+func TestEncodeVecMatchesFuzzCorpus(t *testing.T) {
+	for i, f := range fuzzSeedFrames() {
+		name := fmt.Sprintf("seed-%s-%d", f.Kind, i)
+		if got, want := encode(f), fuzzCorpusSeed(t, name); !bytes.Equal(got, want) {
+			t.Fatalf("%s: EncodeVec mismatch\n got %x\nwant %x", name, got, want)
+		}
+	}
+}
+
+// TestDecodeBuf: the receive decode step hands back an owned frame backed
+// by the buffer, and refuses a buffer the frame does not fill exactly.
+func TestDecodeBuf(t *testing.T) {
+	src := &Frame{Kind: FrameData, Src: 1, Dst: 2, Entries: []Entry{
+		{Flow: 1, Msg: 1, Seq: 0, Last: true, Payload: []byte("payload")},
+	}}
+	enc := encode(src)
+
+	b := GetBuf(len(enc))
+	copy(b.B, enc)
+	f, err := DecodeBuf(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Backed() || len(f.Entries) != 1 || string(f.Entries[0].Payload) != "payload" {
+		t.Fatalf("decoded frame: backed=%v %+v", f.Backed(), f.Entries)
+	}
+	if &f.Entries[0].Payload[0] != &b.B[HeaderSize+SubHeaderSize] {
+		t.Fatal("payload does not alias the backing buffer")
+	}
+	ReleaseFrame(f)
+
+	// Three junk bytes after a well-formed frame: the length prefix and
+	// the frame disagree, so the whole buffer is corrupt.
+	b = GetBuf(len(enc) + 3)
+	copy(b.B, enc)
+	if f, err := DecodeBuf(b); err != ErrTrailing || f != nil {
+		t.Fatalf("trailing bytes: frame %v, err %v", f, err)
+	}
+	b = GetBuf(len(enc) - 1)
+	copy(b.B, enc)
+	if f, err := DecodeBuf(b); err != ErrTruncated || f != nil {
+		t.Fatalf("short buffer: frame %v, err %v", f, err)
 	}
 }

@@ -219,7 +219,7 @@ func newReceiveHarness(b testing.TB, entries, payloadLen int) *receiveHarness {
 			Class: packet.ClassSmall, Payload: make([]byte, payloadLen),
 		})
 	}
-	buf := f.Encode(nil)
+	buf := wireBytes(f)
 	// Seq lives 12 bytes into each sub-header (flow and msg come first).
 	offs := make([]int, entries)
 	off := packet.HeaderSize
@@ -230,8 +230,8 @@ func newReceiveHarness(b testing.TB, entries, payloadLen int) *receiveHarness {
 	return &receiveHarness{recv: sink.onRecv, tmpl: buf, seqOffs: offs}
 }
 
-// deliver plays one frame arrival: pooled buffer, pooled frame, DecodeInto,
-// backing attached, recv upcall — the mesh reader's exact sequence.
+// deliver plays one frame arrival: pooled buffer, DecodeBuf into a pooled
+// backed frame, recv upcall — the mesh reader's exact sequence.
 func (h *receiveHarness) deliver(tb testing.TB) {
 	for _, off := range h.seqOffs {
 		binary.BigEndian.PutUint32(h.tmpl[off:], h.nextSeq)
@@ -239,11 +239,10 @@ func (h *receiveHarness) deliver(tb testing.TB) {
 	}
 	buf := packet.GetBuf(len(h.tmpl))
 	copy(buf.B, h.tmpl)
-	f := packet.AcquireFrame()
-	if _, err := packet.DecodeInto(f, buf.B); err != nil {
+	f, err := packet.DecodeBuf(buf)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	f.SetBacking(buf)
 	h.recv(1, f)
 }
 
@@ -274,19 +273,6 @@ func TestAllocsMeshReceive(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, func() { h.deliver(t) }); allocs > 2 {
 		t.Fatalf("mesh receive path costs %.2f allocs/op for an 8-entry frame, budget is 2", allocs)
 	}
-}
-
-// BenchmarkEncode measures the flat wire encoder on an 8-entry frame.
-func BenchmarkEncode(b *testing.B) {
-	f := benchFrame(8, 64)
-	buf := make([]byte, 0, f.WireSize())
-	b.SetBytes(int64(f.WireSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = f.Encode(buf[:0])
-	}
-	_ = buf
 }
 
 // BenchmarkEncodeVec measures the vectored encoder (headers into scratch,
@@ -321,25 +307,11 @@ func TestAllocsEncodeVec(t *testing.T) {
 	}
 }
 
-// BenchmarkDecode measures the allocating decoder (fresh frame per call).
-func BenchmarkDecode(b *testing.B) {
-	f := benchFrame(8, 64)
-	buf := f.Encode(nil)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := packet.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDecodeInto measures the pooling-aware decoder the wire readers
 // use: entries reuse the target frame's backing array.
 func BenchmarkDecodeInto(b *testing.B) {
 	f := benchFrame(8, 64)
-	buf := f.Encode(nil)
+	buf := wireBytes(f)
 	var into packet.Frame
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
@@ -355,7 +327,7 @@ func BenchmarkDecodeInto(b *testing.B) {
 // allocations.
 func TestAllocsDecodeInto(t *testing.T) {
 	f := benchFrame(8, 64)
-	buf := f.Encode(nil)
+	buf := wireBytes(f)
 	var into packet.Frame
 	op := func() {
 		if _, err := packet.DecodeInto(&into, buf); err != nil {
@@ -366,6 +338,12 @@ func TestAllocsDecodeInto(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, op); allocs > 0 {
 		t.Fatalf("DecodeInto costs %.2f allocs/op, budget is 0", allocs)
 	}
+}
+
+// wireBytes is f's wire form as one contiguous buffer.
+func wireBytes(f *packet.Frame) []byte {
+	vec, _ := f.EncodeVec(nil, nil)
+	return packet.IOVec(vec).Flatten(nil)
 }
 
 func benchFrame(entries, payloadLen int) *packet.Frame {

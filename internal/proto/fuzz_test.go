@@ -26,7 +26,10 @@ func fuzzDispatchSeeds() [][]byte {
 	mk := func(frames ...*packet.Frame) []byte {
 		var out []byte
 		for _, f := range frames {
-			out = f.Encode(out)
+			vec, _ := f.EncodeVec(nil, nil)
+			for _, seg := range vec {
+				out = append(out, seg...)
+			}
 		}
 		return out
 	}
@@ -110,7 +113,8 @@ func FuzzDispatch(f *testing.F) {
 		d := NewDispatcher(1, reasm, rdvS, rdvR, rma)
 
 		for len(stream) > 0 {
-			fr, n, err := packet.Decode(stream)
+			fr := new(packet.Frame)
+			n, err := packet.DecodeInto(fr, stream)
 			if err != nil {
 				stream = stream[1:] // skip garbage a byte at a time
 				continue
