@@ -55,6 +55,13 @@ const (
 	ModeThroughput Mode = "throughput"
 )
 
+// Controller constants no deployment has needed to tune.
+const (
+	windowIntervals = 8   // the sliding-window ratios span this many Intervals
+	deepBacklog     = 24  // a waiting list this deep reads as throughput pressure
+	maxDecisions    = 256 // decision-log bound; Retunes keeps counting past it
+)
+
 // Options configures a Controller.
 type Options struct {
 	// Engine is the optimizer under control (required).
@@ -65,10 +72,9 @@ type Options struct {
 	// Interval is the sampling period (default 10 µs of virtual time;
 	// wall-clock deployments pass milliseconds).
 	Interval simnet.Duration
-	// HalfLife smooths the rate/backlog EWMAs (default 4×Interval).
+	// HalfLife smooths the rate/backlog EWMAs (default 4×Interval). The
+	// sliding-window ratios span windowIntervals×Interval.
 	HalfLife simnet.Duration
-	// Window spans the sliding-window ratios (default 8×Interval).
-	Window simnet.Duration
 	// Confirm is how many consecutive samples must agree on a new regime
 	// before the controller retunes (default 3; minimum 1).
 	Confirm int
@@ -79,11 +85,9 @@ type Options struct {
 	// HiRate/LoRate split the arrival-rate axis (packets/second): above
 	// HiRate the regime reads as throughput, below LoRate as latency, and
 	// the band between is hysteresis (hold the current mode). Defaults
-	// target the simulated profiles: 1e6 and 400e3.
+	// target the simulated profiles: 1e6 and 400e3. A waiting list of
+	// deepBacklog packets reads as throughput regardless of the rate.
 	HiRate, LoRate float64
-	// DeepBacklog marks a waiting list deep enough to read as throughput
-	// regardless of the arrival rate (default 24).
-	DeepBacklog int
 
 	// Tunings maps each mode to a registered tuning name; defaults to the
 	// built-in registry points ("latency", "balanced", "throughput").
@@ -91,37 +95,14 @@ type Options struct {
 	// Initial is the mode applied at Start (default ModeBalanced).
 	Initial Mode
 
-	// DemoteLossyRails enables the rail-health loop: a rail whose peer-down
-	// count grew since the previous sample is demoted — its scheduling
-	// weight driven to zero through the engine's rail-weight knob, draining
-	// new traffic off the flapping connection — and restored after
-	// RailHealSamples consecutive clean samples. Regime retunes and rail
-	// demotion compose in a single write: a retune folds the demotion mask
-	// into its tuning's RailWeights before touching the engine, so a
-	// demoted rail can never resurface between health samples and a
-	// chaos-driven flap storm costs one cheap weight update per event.
-	// No-op on engines whose rail policy is not weight-tunable. Off by
-	// default.
-	DemoteLossyRails bool
-	// RailHealSamples is how many consecutive loss-free samples restore a
-	// demoted rail (default 8).
-	RailHealSamples int
-
 	// NominalQuotas enables the per-tenant quota loop (quota.go): each
 	// tenant's unconstrained operating point, seeded into the engine's
 	// admission table at Start and then retuned every tick by the
 	// Lagrangian multiplier update as backlog/refusal pressure shifts.
 	// Tenants need a positive Rate to be controlled; empty disables the
-	// loop entirely.
+	// loop entirely. The loop's setpoint, step size and rate floor are the
+	// quota* constants in quota.go.
 	NominalQuotas map[packet.TenantID]core.TenantQuota
-	// QuotaTargetUtil is the pressure setpoint the dual ascent holds each
-	// tenant to (default 0.5).
-	QuotaTargetUtil float64
-	// QuotaEta is the dual-ascent step size (default 2).
-	QuotaEta float64
-	// QuotaMinRateFrac floors a demoted tenant's rate at this fraction of
-	// its nominal rate (default 0.1), so no tenant is ever starved to zero.
-	QuotaMinRateFrac float64
 
 	// Trace, when non-nil, records every decision as a policy event.
 	Trace *trace.Recorder
@@ -175,18 +156,12 @@ type Controller struct {
 	streak    int
 	last      simnet.Time // time of the last applied retune
 	retuned   bool        // whether any retune was ever applied
-	decisions []Decision
+	decisions []Decision  // the most recent maxDecisions retunes
+	retunes   uint64      // every retune ever applied
 	tunings   map[Mode]strategy.Tuning
 	cancel    simnet.CancelFunc
 	running   bool
 	closed    bool
-
-	// Rail-health state (DemoteLossyRails).
-	lastDowns   []uint64 // per-rail peer-down counts at the previous sample
-	demoted     []bool
-	cleanStreak []int
-	demotions   uint64
-	restores    uint64
 
 	// Quota-loop state (quota.go), guarded by mu.
 	qctl         map[packet.TenantID]*tenantCtl
@@ -208,9 +183,6 @@ func New(o Options) (*Controller, error) {
 	if o.HalfLife <= 0 {
 		o.HalfLife = 4 * o.Interval
 	}
-	if o.Window <= 0 {
-		o.Window = 8 * o.Interval
-	}
 	if o.Confirm < 1 {
 		o.Confirm = 3
 	}
@@ -226,16 +198,9 @@ func New(o Options) (*Controller, error) {
 	if o.LoRate >= o.HiRate {
 		return nil, fmt.Errorf("control: LoRate %.0f must be below HiRate %.0f (the band between is the hysteresis)", o.LoRate, o.HiRate)
 	}
-	if o.DeepBacklog <= 0 {
-		o.DeepBacklog = 24
-	}
 	if o.Initial == "" {
 		o.Initial = ModeBalanced
 	}
-	if o.RailHealSamples <= 0 {
-		o.RailHealSamples = 8
-	}
-	quotaDefaults(&o)
 	names := map[Mode]string{
 		ModeLatency:    "latency",
 		ModeBalanced:   "balanced",
@@ -264,7 +229,7 @@ func New(o Options) (*Controller, error) {
 		rt:      o.Runtime,
 		o:       o,
 		set:     set,
-		samp:    newSampler(int64(o.HalfLife), int64(o.Window)),
+		samp:    newSampler(int64(o.HalfLife), int64(windowIntervals*o.Interval)),
 		mode:    o.Initial,
 		tunings: tunings,
 	}, nil
@@ -329,18 +294,20 @@ func (c *Controller) Mode() Mode {
 	return c.mode
 }
 
-// Decisions returns the applied retunes, oldest first.
+// Decisions returns the most recent applied retunes (at most
+// maxDecisions), oldest first.
 func (c *Controller) Decisions() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Decision(nil), c.decisions...)
 }
 
-// Retunes returns the number of applied retunes.
+// Retunes returns the number of applied retunes, including those the
+// bounded decision log no longer holds.
 func (c *Controller) Retunes() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return uint64(len(c.decisions))
+	return c.retunes
 }
 
 // Signals returns the latest derived evidence (zero before the first tick).
@@ -406,7 +373,11 @@ func (c *Controller) tick() {
 				To:       string(want),
 				Evidence: sig,
 			}
+			if len(c.decisions) == maxDecisions {
+				c.decisions = append(c.decisions[:0], c.decisions[1:]...)
+			}
 			c.decisions = append(c.decisions, d)
+			c.retunes++
 			c.mode = want
 			c.pending, c.streak = "", 0
 			c.last, c.retuned = m.Now, true
@@ -425,13 +396,6 @@ func (c *Controller) tick() {
 		})
 	}
 
-	if c.o.DemoteLossyRails {
-		// A regime retune already carried the demotion mask in its own
-		// composed weight write (c.apply); this pass only reacts to new
-		// demote/restore evidence in the sample.
-		c.railHealth(m)
-	}
-
 	if len(c.o.NominalQuotas) > 0 {
 		// Per-tenant constrained optimization: one multiplier-update step
 		// against this sample's tenant pressure (quota.go). Runs every
@@ -448,106 +412,11 @@ func (c *Controller) tick() {
 	c.mu.Unlock()
 }
 
-// railHealth is the lossy-rail demotion loop: one pass per sample. A rail
-// with new peer-down events since the last sample loses its scheduling
-// weight; RailHealSamples clean samples earn it back. It writes weights
-// only on an actual demote/restore event — regime retunes carry the
-// demotion mask themselves (composeRailWeights), so there is no window in
-// which a retune's weights resurrect a demoted rail.
-func (c *Controller) railHealth(m core.Metrics) {
-	c.mu.Lock()
-	if c.lastDowns == nil {
-		// Baseline at zero, where the engine's counters start: a rail that
-		// failed between engine creation and the first sample is still
-		// evidence, not history.
-		c.lastDowns = make([]uint64, len(m.RailDowns))
-		c.demoted = make([]bool, len(m.RailDowns))
-		c.cleanStreak = make([]int, len(m.RailDowns))
-	}
-	changed := false
-	var events []string
-	var restored []int
-	for i := range m.RailDowns {
-		if i >= len(c.lastDowns) {
-			break
-		}
-		if m.RailDowns[i] > c.lastDowns[i] {
-			c.cleanStreak[i] = 0
-			if !c.demoted[i] {
-				c.demoted[i] = true
-				c.demotions++
-				changed = true
-				events = append(events, fmt.Sprintf("rail %d demoted (+%d downs)", i, m.RailDowns[i]-c.lastDowns[i]))
-			}
-		} else if c.demoted[i] {
-			c.cleanStreak[i]++
-			if c.cleanStreak[i] >= c.o.RailHealSamples {
-				c.demoted[i] = false
-				c.cleanStreak[i] = 0
-				c.restores++
-				changed = true
-				restored = append(restored, i)
-				events = append(events, fmt.Sprintf("rail %d restored", i))
-			}
-		}
-		c.lastDowns[i] = m.RailDowns[i]
-	}
-	demoted := append([]bool(nil), c.demoted...)
-	c.mu.Unlock()
-
-	if !changed {
-		return
-	}
-	if len(events) > 0 {
-		c.set.Counter("control.rail_health_events").Add(uint64(len(events)))
-	}
-	// Compose: start from the weights in effect (the tuning's operating
-	// point), zero the demoted rails, and hand just-restored rails back
-	// their capability default (-1 means "default" to the weight setter)
-	// rather than the zero this loop wrote earlier.
-	w, ok := c.eng.RailWeights()
-	if !ok {
-		return
-	}
-	for i := range w {
-		if i < len(demoted) && demoted[i] {
-			w[i] = 0
-		}
-	}
-	for _, i := range restored {
-		if i < len(w) {
-			w[i] = -1
-		}
-	}
-	c.eng.SetRailWeights(w)
-	for _, ev := range events {
-		c.o.Trace.Record(trace.Event{
-			At: m.Now, Kind: trace.KindFault, Node: c.eng.Node(), Note: "ctl " + ev,
-		})
-	}
-}
-
-// RailDemotions returns (demotions, restores) applied by the rail-health
-// loop.
-func (c *Controller) RailDemotions() (demotions, restores uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.demotions, c.restores
-}
-
-// DemotedRails returns a copy of the per-rail demotion flags (nil before
-// the first sample).
-func (c *Controller) DemotedRails() []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]bool(nil), c.demoted...)
-}
-
 // classify maps evidence to a desired regime. The band between LoRate and
 // HiRate holds the current mode (rate hysteresis); a deep backlog reads as
 // throughput pressure regardless of the arrival rate.
 func (c *Controller) classify(sig Signals) Mode {
-	if sig.Backlog >= c.o.DeepBacklog {
+	if sig.Backlog >= deepBacklog {
 		return ModeThroughput
 	}
 	switch {
@@ -567,14 +436,6 @@ func (c *Controller) classify(sig Signals) Mode {
 // the controller uses — any knob added to strategy.Tuning is wired here
 // once.
 func Apply(eng *core.Engine, t strategy.Tuning) error {
-	return applyTuning(eng, t, nil)
-}
-
-// applyTuning is Apply with a rail-demotion mask: when the controller's
-// rail-health loop has rails demoted, their zeroes are folded into the
-// tuning's weight vector before it reaches the engine — one composed write,
-// no window in which the raw tuning weights resurrect a lossy rail.
-func applyTuning(eng *core.Engine, t strategy.Tuning, demoted []bool) error {
 	b, err := strategy.New(t.Bundle)
 	if err != nil {
 		return fmt.Errorf("control: tuning %q: %w", t.Name, err)
@@ -598,53 +459,20 @@ func applyTuning(eng *core.Engine, t strategy.Tuning, demoted []bool) error {
 	eng.SetNagle(t.NagleDelay, t.NagleFlushCount)
 	eng.SetSearchBudget(t.SearchBudget)
 	eng.SetRdvThreshold(t.RdvThreshold)
-	if w := composeRailWeights(t.RailWeights, demoted); w != nil {
-		eng.SetRailWeights(w)
+	// An empty RailWeights has no opinion: the weights already in effect
+	// stay, since the tunable rail policy survives the bundle swap. The
+	// slice is not retained — the rail scheduler copies it on write.
+	if len(t.RailWeights) > 0 {
+		eng.SetRailWeights(t.RailWeights)
 	}
 	return nil
 }
 
-// composeRailWeights merges a tuning's rail-weight operating point with the
-// rail-health demotion mask into the single vector actually written to the
-// engine. nil means "write nothing": a tuning without RailWeights has no
-// opinion, and the weights already in effect — demotion zeroes included,
-// since the tunable rail policy survives the bundle swap — stay as they
-// are. When the mask is longer than the tuning vector, missing entries are
-// -1 ("capability default") so a demotion beyond the tuning's horizon still
-// lands as an explicit zero.
-func composeRailWeights(tw []float64, demoted []bool) []float64 {
-	if len(tw) == 0 {
-		return nil
-	}
-	n := len(tw)
-	if len(demoted) > n {
-		n = len(demoted)
-	}
-	w := make([]float64, n)
-	for i := range w {
-		if i < len(tw) {
-			w[i] = tw[i]
-		} else {
-			w[i] = -1
-		}
-	}
-	for i, d := range demoted {
-		if d {
-			w[i] = 0
-		}
-	}
-	return w
-}
-
-// apply is Apply against the controller's own engine, with the current
-// rail-demotion mask composed into the tuning's weight write; tunings were
+// apply is Apply against the controller's own engine; tunings were
 // validated against the bundle registry at New, so a failure means the
 // bundle was unregistered mid-run — a programming error worth crashing on.
 func (c *Controller) apply(t strategy.Tuning) {
-	c.mu.Lock()
-	demoted := append([]bool(nil), c.demoted...)
-	c.mu.Unlock()
-	if err := applyTuning(c.eng, t, demoted); err != nil {
+	if err := Apply(c.eng, t); err != nil {
 		panic(err)
 	}
 }

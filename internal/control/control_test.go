@@ -76,6 +76,34 @@ func TestApplyPreservesTunableRailPolicy(t *testing.T) {
 	if w := sched.Weights(); len(w) != 1 || w[0] != 7 {
 		t.Fatalf("tuning's rail weights not applied: %v", w)
 	}
+	// A tuning without RailWeights writes nothing: the weights in effect
+	// stay. A tuning's slice is copied on write, so changing it after
+	// Apply does not reach the engine.
+	two := strategy.NewScheduledRail([]caps.Caps{caps.MX, caps.MX})
+	b = eng.Bundle()
+	b.Rail = two
+	if err := eng.SetBundle(b); err != nil {
+		t.Fatal(err)
+	}
+	eng.SetRailWeights([]float64{5, 7})
+	balanced, err := strategy.TuningByName("balanced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(eng, balanced); err != nil {
+		t.Fatal(err)
+	}
+	if w := two.Weights(); len(w) != 2 || w[0] != 5 || w[1] != 7 {
+		t.Fatalf("tuning without RailWeights changed the weights: %v, want [5 7]", w)
+	}
+	tune.RailWeights = []float64{3, 4}
+	if err := Apply(eng, tune); err != nil {
+		t.Fatal(err)
+	}
+	tune.RailWeights[0] = 9
+	if w := two.Weights(); len(w) != 2 || w[0] != 3 || w[1] != 4 {
+		t.Fatalf("engine weights follow the tuning's slice after Apply: %v, want [3 4]", w)
+	}
 	// A weight-free policy is left alone: the registry bundle's own rail
 	// policy takes over as before.
 	b = eng.Bundle()
@@ -264,6 +292,72 @@ func TestControllerCooldownBounds(t *testing.T) {
 	}
 	if c.Stats().CounterValue("control.cooldown_blocks") == 0 {
 		t.Fatal("cooldown suppressed nothing, yet only one retune applied")
+	}
+}
+
+// TestControllerDecisionLogBounded flips the regime on every burst/lull
+// with no confirmation or cooldown damping, past the decision log's bound:
+// the log keeps only the newest maxDecisions entries, while Retunes still
+// counts every applied retune.
+func TestControllerDecisionLogBounded(t *testing.T) {
+	cl, eng := simPair(t)
+	c, err := New(Options{
+		Engine:   eng,
+		Runtime:  cl.Eng,
+		Interval: 10 * simnet.Microsecond,
+		HalfLife: 10 * simnet.Microsecond,
+		Confirm:  1,
+		Cooldown: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Each 100 µs cycle: a 20 µs dense burst (2 M packets/s), then a lull.
+	const cycles = 200
+	seq := 0
+	for k := 0; k < cycles; k++ {
+		for i := 0; i < 5; i++ {
+			at := simnet.Time(k)*simnet.Time(100*simnet.Microsecond) + simnet.Time(i)*simnet.Time(4*simnet.Microsecond)
+			for j := 0; j < 8; j++ {
+				s := seq
+				cl.Eng.At(at, "burst", func() {
+					p := &packet.Packet{
+						Flow: 1, Msg: packet.MsgID(s), Seq: s, Last: true,
+						Src: 0, Dst: 1, Class: packet.ClassSmall,
+						Payload: make([]byte, 64),
+					}
+					if err := eng.Submit(p); err != nil {
+						t.Errorf("submit: %v", err)
+					}
+				})
+				seq++
+			}
+		}
+	}
+	cl.Eng.RunUntil(simnet.Time(cycles * 100 * simnet.Microsecond))
+	c.Stop()
+
+	total := c.Stats().CounterValue("control.retunes")
+	if total <= maxDecisions {
+		t.Fatalf("only %d retunes applied; the test must exceed the log bound %d", total, maxDecisions)
+	}
+	if got := c.Retunes(); got != total {
+		t.Fatalf("Retunes() = %d, want every applied retune (%d)", got, total)
+	}
+	ds := c.Decisions()
+	if len(ds) != maxDecisions {
+		t.Fatalf("decision log holds %d entries, want the bound %d", len(ds), maxDecisions)
+	}
+	for i := 1; i < len(ds); i++ {
+		if ds[i].At <= ds[i-1].At {
+			t.Fatalf("decision log out of order at %d: %v after %v", i, ds[i], ds[i-1])
+		}
+	}
+	if last := ds[len(ds)-1]; Mode(last.To) != c.Mode() {
+		t.Fatalf("newest decision %v is not last: mode in effect is %s", last, c.Mode())
 	}
 }
 

@@ -36,6 +36,19 @@ import (
 // knob operators use, so every demotion/heal emits a "tenant-quota"
 // RetuneEvent that experiments (X6) timestamp against the flood onset.
 
+// The dual-ascent constants: the pressure setpoint, the step size η, and
+// the floor of a demoted tenant's rate as a fraction of nominal, so no
+// tenant is ever starved to zero. η = 2 with target 0.5: a saturated
+// flooder (backlogUtil ≈ 1, overDemand ≈ 0.9) gains μ ≈ 2.8 in one tick —
+// rate cut to ≲ 30% of nominal immediately — while an idle tenant decays μ
+// by 1.0 per tick, healing in a few ticks. A tenant without a nominal
+// backlog quota has its backlog priced against deepBacklog.
+const (
+	quotaTargetUtil  = 0.5
+	quotaEta         = 2
+	quotaMinRateFrac = 0.1
+)
+
 // tenantCtl is the per-tenant dual state.
 type tenantCtl struct {
 	nominal core.TenantQuota
@@ -99,8 +112,8 @@ func (c *Controller) quotaTick(m core.Metrics) {
 		var backlogUtil float64
 		if ctl.nominal.Backlog > 0 {
 			backlogUtil = float64(tm.Backlog) / float64(ctl.nominal.Backlog)
-		} else if c.o.DeepBacklog > 0 {
-			backlogUtil = float64(tm.Backlog) / float64(c.o.DeepBacklog)
+		} else {
+			backlogUtil = float64(tm.Backlog) / deepBacklog
 		}
 		dSub := tm.Submitted - ctl.lastSubmitted
 		dRef := (tm.Throttled - ctl.lastThrottled) + (tm.OverQuota - ctl.lastOverQuota)
@@ -110,12 +123,12 @@ func (c *Controller) quotaTick(m core.Metrics) {
 			overDemand = float64(dRef) / float64(dSub+dRef)
 		}
 
-		ctl.mu += c.o.QuotaEta * (backlogUtil + overDemand - c.o.QuotaTargetUtil)
+		ctl.mu += quotaEta * (backlogUtil + overDemand - quotaTargetUtil)
 		if ctl.mu < 0 {
 			ctl.mu = 0
 		}
 		rate := ctl.nominal.Rate / (1 + ctl.mu)
-		if min := c.o.QuotaMinRateFrac * ctl.nominal.Rate; rate < min {
+		if min := quotaMinRateFrac * ctl.nominal.Rate; rate < min {
 			rate = min
 		}
 		// Write only a meaningful move (>1% of nominal): the steady state
@@ -175,21 +188,4 @@ func (c *Controller) TenantMultiplier(tenant packet.TenantID) float64 {
 		return ctl.mu
 	}
 	return 0
-}
-
-// quotaDefaults fills the loop's option defaults; kept next to the loop
-// rather than in New so the tuning constants read in context. η = 2 with
-// target 0.5: a saturated flooder (backlogUtil ≈ 1, overDemand ≈ 0.9)
-// gains μ ≈ 2.8 in one tick — rate cut to ≲ 30% of nominal immediately —
-// while an idle tenant decays μ by 1.0 per tick, healing in a few ticks.
-func quotaDefaults(o *Options) {
-	if o.QuotaTargetUtil <= 0 {
-		o.QuotaTargetUtil = 0.5
-	}
-	if o.QuotaEta <= 0 {
-		o.QuotaEta = 2
-	}
-	if o.QuotaMinRateFrac <= 0 {
-		o.QuotaMinRateFrac = 0.1
-	}
 }

@@ -618,18 +618,6 @@ func (e *Engine) SetRailWeights(w []float64) bool {
 	return true
 }
 
-// RailWeights returns the per-rail scheduling weights currently in effect,
-// when the bundle's rail policy is weight-tunable; ok is false otherwise.
-// The controller's rail-demotion logic reads this to compose its zeroes
-// with whatever operating point the tuning established.
-func (e *Engine) RailWeights() (w []float64, ok bool) {
-	rs, tunable := e.bundle.Load().Rail.(strategy.RailWeightSetter)
-	if !tunable {
-		return nil, false
-	}
-	return rs.Weights(), true
-}
-
 // Submit enqueues one packet from the collect layer and returns
 // immediately. Packets of one flow must be submitted with consecutive Seq
 // values starting at zero; the mad layer guarantees this. Eager packets

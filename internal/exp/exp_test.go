@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"newmad/internal/control"
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
+	"newmad/internal/stats"
 	"newmad/internal/strategy"
 )
 
@@ -224,7 +227,76 @@ func TestX6ShapeFloodIsolation(t *testing.T) {
 	}
 }
 
+// snapshotPath is the committed quick-mode madbench snapshot, the "same
+// behaviour" oracle for every experiment that runs on simulated time.
+const snapshotPath = "../../BENCH_mesh.json"
+
+// wallClockIDs are the experiments that run on real sockets and the wall
+// clock; their tables differ from run to run, so the snapshot check skips
+// them.
+var wallClockIDs = map[string]bool{"X2": true, "X3": true, "X4": true, "X5": true}
+
+// loadSnapshot reads the committed snapshot's tables by experiment ID.
+func loadSnapshot(t *testing.T) map[string][]stats.Table {
+	t.Helper()
+	raw, err := os.ReadFile(snapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Quick       bool   `json:"quick"`
+		Seed        uint64 `json:"seed"`
+		Experiments []struct {
+			ID     string        `json:"id"`
+			Tables []stats.Table `json:"tables"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("%s: %v", snapshotPath, err)
+	}
+	if !snap.Quick || snap.Seed != quick.Seed {
+		t.Fatalf("%s was not generated with -quick and seed %d", snapshotPath, quick.Seed)
+	}
+	out := make(map[string][]stats.Table, len(snap.Experiments))
+	for _, e := range snap.Experiments {
+		out[e.ID] = e.Tables
+	}
+	return out
+}
+
+// diffTables reports the first cell where got departs from want, ignoring
+// wall(ms) columns (the only wall-clock figure in a simulated experiment).
+func diffTables(got []*stats.Table, want []stats.Table) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d tables, snapshot has %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Title != w.Title || strings.Join(g.Header, "|") != strings.Join(w.Header, "|") {
+			return fmt.Sprintf("table %d: title/header %q %q, snapshot %q %q", i, g.Title, g.Header, w.Title, w.Header)
+		}
+		if len(g.Rows) != len(w.Rows) {
+			return fmt.Sprintf("table %q: %d rows, snapshot has %d", g.Title, len(g.Rows), len(w.Rows))
+		}
+		for r := range g.Rows {
+			if len(g.Rows[r]) != len(w.Rows[r]) {
+				return fmt.Sprintf("table %q row %d: %d cells, snapshot has %d", g.Title, r, len(g.Rows[r]), len(w.Rows[r]))
+			}
+			for c, cell := range g.Rows[r] {
+				if g.Header[c] != "wall(ms)" && cell != w.Rows[r][c] {
+					return fmt.Sprintf("table %q row %d column %q: got %q, snapshot %q", g.Title, r, g.Header[c], cell, w.Rows[r][c])
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestAllExperimentsProduceTables runs every experiment in quick mode and,
+// for each one on simulated time, compares its tables with the committed
+// snapshot cell for cell.
 func TestAllExperimentsProduceTables(t *testing.T) {
+	snap := loadSnapshot(t)
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -240,6 +312,12 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 				if !strings.Contains(out, "==") {
 					t.Fatalf("%s: malformed table:\n%s", e.ID, out)
 				}
+			}
+			if wallClockIDs[e.ID] {
+				return
+			}
+			if d := diffTables(tables, snap[e.ID]); d != "" {
+				t.Fatalf("%s drifted from %s: %s. If the behaviour change is intended, regenerate the snapshot with `go run ./cmd/madbench -quick -json BENCH_mesh.json` and note it in CHANGES.md", e.ID, snapshotPath, d)
 			}
 		})
 	}
