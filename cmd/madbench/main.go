@@ -46,52 +46,39 @@ func fmtBytes(n uint64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// jsonReport is the schema of the -json output. Each schema is a strict
-// superset of its predecessor, so committed snapshots keep comparing
-// field-for-field: madbench/v2 added per-experiment controller decision
-// counts (E11, X3) over v1, madbench/v3 added fault/recovery counters
-// for the chaos experiments (X5) — how many faults were injected into each
-// run and how many recovery actions (failovers, rendezvous retries) the
-// engines fired in response — plus their fleet totals, madbench/v4
-// adds per-experiment memory accounting (allocations, allocated bytes,
-// and GC pause time attributable to one experiment run — the "op" of the
-// *_per_op fields) so the zero-alloc datapath work stays observable in
-// the same trajectory the wall-clock numbers live in, and madbench/v5
-// adds per-experiment latency quantiles from the telemetry subsystem's
-// span histograms (end-to-end and queue-wait, merged across every engine
-// in the run) plus the report-level sample totals, and madbench/v6 adds
-// per-tenant admission outcomes (offered/admitted/refused splits and
-// per-tenant e2e p99) for the multi-tenant experiments (X6) plus the
-// report-level refusal total — every v5 field is carried unchanged.
+// jsonReport is the schema of the -json output, identified as
+// "madbench/v6". Every field below is part of that schema; committed
+// snapshots (BENCH_mesh.json) compare against a new report field by field.
 type jsonReport struct {
 	Schema      string           `json:"schema"` // "madbench/v6"
 	GeneratedAt time.Time        `json:"generated_at"`
 	Quick       bool             `json:"quick"`
 	Seed        uint64           `json:"seed"`
 	Experiments []jsonExperiment `json:"experiments"`
-	// ControllerDecisions totals the applied retunes across all selected
-	// experiments (v2).
+	// ControllerDecisions totals the retunes the controllers of every
+	// selected experiment applied.
 	ControllerDecisions uint64 `json:"controller_decisions"`
-	// FaultsInjected/Recoveries total the chaos accounting across all
-	// selected experiments (v3).
+	// FaultsInjected totals the faults injected into the chaos runs;
+	// Recoveries totals the failovers and rendezvous retries the engines
+	// fired in response.
 	FaultsInjected uint64 `json:"faults_injected"`
 	Recoveries     uint64 `json:"recoveries"`
-	// TotalAllocs/TotalAllocBytes/GCPauseTotalNs total the memory
-	// accounting across all selected experiments (v4).
+	// TotalAllocs, TotalAllocBytes and GCPauseTotalNs total the per-
+	// experiment memory accounting over every selected experiment.
 	TotalAllocs     uint64 `json:"total_allocs"`
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
 	GCPauseTotalNs  uint64 `json:"gc_pause_total_ns"`
 	// LatencySamples totals the span observations behind every reported
-	// quantile across all selected experiments (v5).
+	// latency quantile.
 	LatencySamples uint64 `json:"latency_samples"`
-	// TenantRefusals totals the admission-control refusals across all
-	// selected experiments (v6).
+	// TenantRefusals totals the admission-control refusals.
 	TenantRefusals uint64 `json:"tenant_refusals"`
 }
 
 // jsonTenant is one tenant's admission outcome in an experiment's final
-// run (v6). Refusals are typed Submit errors — shed at the admission
-// edge, never queued and never silently dropped.
+// run: packets offered, admitted and refused, and the tenant's e2e p99.
+// Refusals are typed Submit errors — shed at the admission edge, never
+// queued and never silently dropped.
 type jsonTenant struct {
 	Tenant   uint8   `json:"tenant"`
 	Offered  uint64  `json:"offered"`
@@ -101,7 +88,7 @@ type jsonTenant struct {
 }
 
 // jsonQuantiles is one span kind's digest: sample count plus the µs
-// quantiles (v5).
+// quantiles.
 type jsonQuantiles struct {
 	Count uint64  `json:"count"`
 	P50Us float64 `json:"p50_us"`
@@ -113,7 +100,7 @@ type jsonQuantiles struct {
 // span (submit→in-order delivery; eager deliveries only — rendezvous
 // payloads are reconstructed at the receiver without the submit stamp)
 // and the queue-wait span (submit→first post attempt), merged across
-// every engine in the run (v5).
+// every engine in the run.
 type jsonLatency struct {
 	E2E   jsonQuantiles `json:"e2e"`
 	Qwait jsonQuantiles `json:"queue_wait"`
@@ -126,23 +113,23 @@ type jsonExperiment struct {
 	WallMs float64        `json:"wall_ms"`
 	Tables []*stats.Table `json:"tables"`
 	// ControllerDecisions counts retunes the experiment's controllers
-	// applied; omitted for controller-free experiments (v2).
+	// applied; omitted for controller-free experiments.
 	ControllerDecisions uint64 `json:"controller_decisions,omitempty"`
 	// FaultsInjected/Recoveries count the faults that hit the run and the
 	// recovery actions the engines fired; omitted for fault-free
-	// experiments (v3).
+	// experiments.
 	FaultsInjected uint64 `json:"faults_injected,omitempty"`
 	Recoveries     uint64 `json:"recoveries,omitempty"`
 	// AllocsPerOp/BytesPerOp/GCPauseNs are runtime.MemStats deltas across
-	// the experiment's Run — the op is one full experiment execution (v4).
+	// the experiment's Run — the op is one full experiment execution.
 	AllocsPerOp uint64 `json:"allocs_per_op"`
 	BytesPerOp  uint64 `json:"bytes_per_op"`
 	GCPauseNs   uint64 `json:"gc_pause_ns"`
 	// Latency is the experiment's final-run latency digest; omitted when
-	// the experiment reported none (v5).
+	// the experiment reported none.
 	Latency *jsonLatency `json:"latency,omitempty"`
 	// Tenants is the experiment's per-tenant admission digest; omitted for
-	// tenant-free experiments (v6).
+	// tenant-free experiments.
 	Tenants []jsonTenant `json:"tenants,omitempty"`
 }
 
@@ -216,7 +203,7 @@ func main() {
 	for _, e := range selected {
 		fmt.Printf("### %s — %s\n", e.ID, e.Title)
 		fmt.Printf("    claim: %s\n\n", e.Claim)
-		// Memory accounting (v4): a GC fence before the run keeps one
+		// Memory accounting: a GC fence before the run keeps one
 		// experiment's garbage from billing the next; deltas across Run
 		// attribute allocations and GC pauses to this experiment.
 		var m0, m1 runtime.MemStats

@@ -21,6 +21,7 @@ import (
 	"newmad/internal/packet"
 	"newmad/internal/proto"
 	"newmad/internal/simnet"
+	"newmad/internal/stats"
 	"newmad/internal/strategy"
 	"newmad/internal/trace"
 	"newmad/internal/workload"
@@ -39,7 +40,7 @@ func main() {
 		channels  = flag.Int("channels", 1, "send channels per NIC (0 = profile default)")
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		listStrat = flag.Bool("strategies", false, "list strategy bundles and exit")
-		dump      = flag.Bool("dump", false, "dump every counter and histogram")
+		dump      = flag.Bool("dump", false, "dump each engine's Metrics and every counter and histogram")
 		doTrace   = flag.Bool("trace", false, "print the engine decision timeline (last 256 events)")
 	)
 	flag.Parse()
@@ -121,16 +122,24 @@ func main() {
 	fmt.Printf("frames   : %d  (%.2f packets/frame)\n",
 		cl.Stats.CounterValue("nic.tx.frames"),
 		float64(total)/float64(cl.Stats.CounterValue("nic.tx.frames")))
-	lat := cl.Stats.Histogram("core.delivery_latency_ns")
+	lat := &stats.Histogram{}
+	var submittedBytes uint64
+	for n := packet.NodeID(0); n < 2; n++ {
+		lat.Merge(engines[n].Spans().Total(int(core.SpanE2E)))
+		submittedBytes += engines[n].Metrics().SubmittedBytes
+	}
 	fmt.Printf("latency  : mean %.1fµs  p50 %.1fµs  p99 %.1fµs\n",
 		lat.Mean()/1000, lat.Quantile(0.5)/1000, lat.Quantile(0.99)/1000)
 	if end > 0 {
 		fmt.Printf("rate     : %.0f msg/s, %.1f MB/s payload\n",
 			float64(total)/(float64(end)/1e9),
-			float64(cl.Stats.CounterValue("core.submitted_bytes"))/(float64(end)/1e9)/1e6)
+			float64(submittedBytes)/(float64(end)/1e9)/1e6)
 	}
 	if *dump {
 		fmt.Println()
+		for n := packet.NodeID(0); n < 2; n++ {
+			fmt.Printf("node %d metrics: %+v\n", n, engines[n].Metrics())
+		}
 		fmt.Print(cl.Stats.Dump())
 	}
 	if rec != nil {

@@ -144,9 +144,10 @@ func run(bundleName string) (end simnet.Time, frames, aggregates uint64) {
 		churn(0)
 	})
 	end = cluster.Eng.Run()
-	return end,
-		cluster.Stats.CounterValue("nic.tx.frames"),
-		cluster.Stats.CounterValue("core.aggregates")
+	for _, s := range sessions {
+		aggregates += s.Engine().Metrics().Aggregates
+	}
+	return end, cluster.Stats.CounterValue("nic.tx.frames"), aggregates
 }
 
 func main() {

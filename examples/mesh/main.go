@@ -79,13 +79,16 @@ func main() {
 
 	fmt.Printf("4-node all-to-all over real TCP sockets: %d messages in %v\n",
 		total, wall.Round(time.Millisecond))
+	// The exchange is symmetric, so every node delivers exactly as many
+	// packets as it submitted; anything else is a lost or duplicated packet.
+	lost := false
 	for n := packet.NodeID(0); n < nodes; n++ {
-		st := c.Nodes[n].Stats
+		m := c.Engine(n).Metrics()
 		fmt.Printf("  node %d: submitted=%d frames=%d aggregates=%d delivered=%d\n",
-			n,
-			st.CounterValue("core.submitted"),
-			st.CounterValue("core.frames_posted"),
-			st.CounterValue("core.aggregates"),
-			st.CounterValue("core.delivered"))
+			n, m.Submitted, m.FramesPosted, m.Aggregates, m.Delivered)
+		lost = lost || m.Delivered != m.Submitted
+	}
+	if lost {
+		log.Fatal("mesh: a node delivered a different packet count than it submitted")
 	}
 }

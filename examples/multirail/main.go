@@ -81,9 +81,20 @@ func run(rail strategy.RailPolicy) (end simnet.Time, mxFrames, elanFrames uint64
 		})
 	}
 	end = cluster.Eng.Run()
-	return end,
-		cluster.Stats.CounterValue("core.rail.mx.frames"),
-		cluster.Stats.CounterValue("core.rail.elan.frames")
+	// Per-rail frame counts, summed over both engines; rails are indexed
+	// like Engine.Rails().
+	for _, eng := range engines {
+		m := eng.Metrics()
+		for i, r := range eng.Rails() {
+			switch r.Caps().Name {
+			case "mx":
+				mxFrames += m.RailFrames[i]
+			case "elan":
+				elanFrames += m.RailFrames[i]
+			}
+		}
+	}
+	return end, mxFrames, elanFrames
 }
 
 func realSockets() {

@@ -117,3 +117,69 @@ func TestClusterTelemetry(t *testing.T) {
 		t.Fatal("trace ring empty with TraceRing set")
 	}
 }
+
+// TestClusterPromCountsEachTallyOnce scrapes a node whose engine has its
+// own stats.Set and checks that every engine tally appears in exactly one
+// Prometheus family: the engine rows rendered from core.Metrics and the
+// e2e/queue-wait spans, never a second copy from the Set.
+func TestClusterPromCountsEachTallyOnce(t *testing.T) {
+	c, err := New(Options{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const msgs = 8
+	var got atomic.Int64
+	done := make(chan struct{}, 1)
+	c.Session(1).Channel("once").OnMessage(func(src packet.NodeID, m *mad.Incoming) {
+		if got.Add(1) == msgs {
+			done <- struct{}{}
+		}
+	})
+	conn := c.Session(0).Channel("once").Connect(1)
+	for i := 0; i < msgs; i++ {
+		msg := conn.BeginPacking()
+		msg.Pack([]byte(fmt.Sprintf("m-%d", i)), mad.SendCheaper, mad.RecvCheaper)
+		msg.EndPacking()
+	}
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("exchange incomplete: %d of %d", got.Load(), msgs)
+	}
+
+	reg := telemetry.NewRegistry()
+	for _, n := range c.Nodes {
+		reg.Register(telemetry.Source{Node: n.Engine.Node(), Engine: n.Engine, Stats: n.Stats})
+	}
+	for node := packet.NodeID(0); node < 2; node++ {
+		ns, ok := reg.Snapshot(node)
+		if !ok {
+			t.Fatalf("node %d not registered", node)
+		}
+		var b strings.Builder
+		telemetry.WriteProm(&b, ns)
+		prom := b.String()
+		for _, want := range []string{
+			"newmad_submitted_total", "newmad_submitted_bytes_total",
+			"newmad_frames_posted_total", "newmad_packets_sent_total",
+			"newmad_delivered_total", "newmad_aggregates_total",
+			"newmad_idle_upcalls_total", "newmad_rail_frames_total",
+		} {
+			if !strings.Contains(prom, "\n"+want+" ") && !strings.Contains(prom, "\n"+want+"{") {
+				t.Fatalf("node %d: /metrics missing %s:\n%s", node, want, prom)
+			}
+		}
+		for _, dup := range []string{
+			"newmad_core_submitted_total", "newmad_core_submitted_bytes_total",
+			"newmad_core_frames_posted_total", "newmad_core_packets_sent_total",
+			"newmad_core_delivered_total", "newmad_core_aggregates_total",
+			"newmad_core_idle_upcalls_total", "newmad_core_delivery_latency_ns",
+		} {
+			if strings.Contains(prom, dup) {
+				t.Fatalf("node %d: /metrics exports a second copy %s:\n%s", node, dup, prom)
+			}
+		}
+	}
+}

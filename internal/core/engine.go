@@ -119,7 +119,11 @@ type Options struct {
 	// suites pin down, and refusing is only right for callers that would
 	// rather re-route at the application layer.
 	RefuseUnreachable bool
-	// Stats receives counters and histograms; nil allocates a private set.
+	// Stats receives the engine's rare-event counters (rendezvous starts
+	// and grants, RMA operations, policy and quota retunes, peer-down
+	// posts) and the backlog_peak gauge; nil allocates a private set.
+	// Per-packet, per-frame and per-delivery tallies are not written here:
+	// they live in Metrics and the Spans family (DESIGN.md §8).
 	Stats *stats.Set
 	// Trace, when non-nil, records the engine's decision timeline.
 	Trace *trace.Recorder
@@ -184,28 +188,6 @@ type Engine struct {
 	shards []*shard
 	pumps  [][]chanPump
 
-	// Hot-path metric handles, resolved once at construction: the per-
-	// frame path must not pay a map lookup (or a fmt.Sprintf for the
-	// per-rail counter name) per event.
-	cSubmitted      *stats.Counter
-	cSubmittedBytes *stats.Counter
-	cFramesPosted   *stats.Counter
-	cPacketsSent    *stats.Counter
-	cDelivered      *stats.Counter
-	cDeliveredBytes *stats.Counter
-	cIdleUpcalls    *stats.Counter
-	cAggregates     *stats.Counter
-	cAggregatedPkts *stats.Counter
-	cReactive       *stats.Counter
-	cThrottled      *stats.Counter
-	cOverQuota      *stats.Counter
-	railCtr         []*stats.Counter
-	hPlanPackets    *stats.Histogram
-	hPlanEvaluated  *stats.Histogram
-	hPlanScore      *stats.Histogram
-	hDeliveryLat    *stats.Histogram
-	hControlLat     *stats.Histogram
-
 	// spans is the latency-span family (spans.go); its cells carry their
 	// own locks, so shards and the receive path observe into one shared
 	// family without coordination.
@@ -218,7 +200,7 @@ type Engine struct {
 	// never take pmu (see shard.go for the full ordering).
 	pmu       sync.Mutex
 	retuneObs func(RetuneEvent)
-	railDowns []uint64 // peer-down events per rail (lossy-rail evidence)
+	railDowns []uint64 // peer-down events per rail (Metrics.RailDowns)
 
 	// rdvTimers tracks the retry timer armed per outstanding rendezvous;
 	// rdvGen stamps each arming (see rdvTimer).
@@ -313,24 +295,6 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		spans:        stats.NewSpans(int(NumSpanKinds), int(packet.NumClasses), len(rails)),
 		rdvStart:     make(map[uint64]simnet.Time),
 		rdvRecvStart: make(map[uint64]simnet.Time),
-
-		cSubmitted:      set.Counter("core.submitted"),
-		cSubmittedBytes: set.Counter("core.submitted_bytes"),
-		cFramesPosted:   set.Counter("core.frames_posted"),
-		cPacketsSent:    set.Counter("core.packets_sent"),
-		cDelivered:      set.Counter("core.delivered"),
-		cDeliveredBytes: set.Counter("core.delivered_bytes"),
-		cIdleUpcalls:    set.Counter("core.idle_upcalls"),
-		cAggregates:     set.Counter("core.aggregates"),
-		cAggregatedPkts: set.Counter("core.aggregated_packets"),
-		cReactive:       set.Counter("core.reactive_frames"),
-		cThrottled:      set.Counter("core.tenant_throttled"),
-		cOverQuota:      set.Counter("core.tenant_over_quota"),
-		hPlanPackets:    set.Histogram("core.plan_packets"),
-		hPlanEvaluated:  set.Histogram("core.plan_evaluated"),
-		hPlanScore:      set.Histogram("core.plan_score_ns"),
-		hDeliveryLat:    set.Histogram("core.delivery_latency_ns"),
-		hControlLat:     set.Histogram("core.control_latency_ns"),
 	}
 	if len(opt.Quotas) > 0 {
 		max := packet.TenantID(0)
@@ -358,9 +322,6 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		searchBudget: opt.SearchBudget,
 		rdvThreshold: opt.RdvThreshold,
 	})
-	for _, r := range rails {
-		e.railCtr = append(e.railCtr, set.Counter(fmt.Sprintf("core.rail.%s.frames", r.Caps().Name)))
-	}
 	e.shards = make([]*shard, nshards)
 	for i := range e.shards {
 		e.shards[i] = newShard(e, i)
@@ -416,7 +377,6 @@ func (e *Engine) onFrameLoss(ri int, peer packet.NodeID, frames []*packet.Frame)
 	s.nFail.Add(int64(len(frames)))
 	s.ctr.framesReclaimed += uint64(len(frames))
 	s.mu.Unlock()
-	e.set.Counter("core.frames_reclaimed").Add(uint64(len(frames)))
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		A: ri, B: len(frames), Note: "reclaim:rail-down",
@@ -424,8 +384,8 @@ func (e *Engine) onFrameLoss(ri int, peer packet.NodeID, frames []*packet.Frame)
 	e.pumpAll()
 }
 
-// onPeerDown counts a rail-level peer failure and forwards it to the
-// observer. The count per rail is the controller's lossy-rail evidence.
+// onPeerDown counts a rail-level peer failure (Metrics.RailDowns) and
+// forwards it to the observer.
 func (e *Engine) onPeerDown(ri int, peer packet.NodeID) {
 	if e.closed.Load() {
 		return
@@ -433,7 +393,6 @@ func (e *Engine) onPeerDown(ri int, peer packet.NodeID) {
 	e.pmu.Lock()
 	e.railDowns[ri]++
 	e.pmu.Unlock()
-	e.set.Counter("core.rail_peer_downs").Inc()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		A: ri, B: int(peer), Note: "peer-down",
@@ -446,7 +405,8 @@ func (e *Engine) onPeerDown(ri int, peer packet.NodeID) {
 // Node returns the engine's node id.
 func (e *Engine) Node() packet.NodeID { return e.node }
 
-// Stats returns the engine's metric set.
+// Stats returns the engine's rare-event set (see Options.Stats); the
+// activity totals are in Metrics and the latencies in Spans.
 func (e *Engine) Stats() *stats.Set { return e.set }
 
 // Rails returns the engine's drivers in rail-index order.
@@ -669,8 +629,6 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		p.Enqueued = 1
 	}
 	b.Classes.Observe(p)
-	e.cSubmitted.Inc()
-	e.cSubmittedBytes.Add(uint64(p.Size()))
 	e.rec.Record(trace.Event{
 		At: p.Enqueued, Kind: trace.KindSubmit, Node: e.node,
 		Flow: p.Flow, Seq: p.Seq, A: p.Size(), B: int(p.Class),
@@ -807,7 +765,6 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 	s.nCtrl.Add(1)
 	s.mu.Unlock()
 	e.ctrRdvRetries++
-	e.set.Counter("core.rdv_retries").Inc()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		Flow: flow, Seq: seq, A: attempt + 1,

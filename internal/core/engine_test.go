@@ -59,6 +59,20 @@ func newNet(t *testing.T, nodes int, bundleName string, mutate func(*Options), p
 	return tn
 }
 
+// railFrames sums the frames every engine posted on the rail named name.
+func (tn *testNet) railFrames(name string) uint64 {
+	var n uint64
+	for _, eng := range tn.engines {
+		m := eng.Metrics()
+		for i, r := range eng.Rails() {
+			if r.Caps().Name == name {
+				n += m.RailFrames[i]
+			}
+		}
+	}
+	return n
+}
+
 // singleChanMX is MX restricted to one send channel, so backlogs build up
 // deterministically in tests.
 func singleChanMX() caps.Caps {
@@ -116,7 +130,7 @@ func TestSingleMessageDelivery(t *testing.T) {
 	if got.Src != 0 || got.Pkt.Flow != 1 || !bytes.Equal(got.Pkt.Payload, want) {
 		t.Fatalf("delivery mismatch: %+v", got)
 	}
-	if tn.cl.Stats.CounterValue("core.delivered") != 1 {
+	if tn.engines[0].Metrics().Delivered != 0 || tn.engines[1].Metrics().Delivered != 1 {
 		t.Fatal("delivered counter wrong")
 	}
 }
@@ -158,7 +172,7 @@ func TestCrossFlowAggregationReducesFrames(t *testing.T) {
 	if frames >= flows*perFlow/2 {
 		t.Fatalf("aggregation ineffective: %d frames for %d packets", frames, flows*perFlow)
 	}
-	if tn.cl.Stats.CounterValue("core.aggregates") == 0 {
+	if tn.engines[0].Metrics().Aggregates == 0 {
 		t.Fatal("no aggregates recorded")
 	}
 }
@@ -410,10 +424,50 @@ func TestMultiRailSharesLoad(t *testing.T) {
 	if len(tn.inbox[1]) != 64 {
 		t.Fatalf("delivered %d", len(tn.inbox[1]))
 	}
-	mx := tn.cl.Stats.CounterValue("core.rail.mx.frames")
-	elan := tn.cl.Stats.CounterValue("core.rail.elan.frames")
+	mx := tn.railFrames("mx")
+	elan := tn.railFrames("elan")
 	if mx == 0 || elan == 0 {
 		t.Fatalf("rails unused: mx=%d elan=%d", mx, elan)
+	}
+}
+
+// TestMetricsCountEachEventOnce pins the one-tally contract: Metrics and
+// the span family agree with each other on every engine after an
+// eager-only run. Per-rail frames sum to the frame total, every backlog
+// plan became one frame, and every delivery left exactly one e2e sample.
+func TestMetricsCountEachEventOnce(t *testing.T) {
+	tn := newNet(t, 2, "aggregate", nil, caps.MX, caps.Elan)
+	const n = 64
+	for i := 0; i < n; i++ {
+		if err := tn.engines[0].Submit(pkt(packet.FlowID(i%8+1), i/8, 0, 1, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.cl.Eng.Run()
+	if tn.cl.Stats.CounterValue("core.rdv_started") != 0 {
+		t.Fatal("run was not eager-only")
+	}
+	for i, eng := range tn.engines {
+		m := eng.Metrics()
+		var rails uint64
+		for _, v := range m.RailFrames {
+			rails += v
+		}
+		if rails != m.FramesPosted {
+			t.Fatalf("engine %d: rail frames sum to %d, FramesPosted = %d", i, rails, m.FramesPosted)
+		}
+		if m.Plans > m.FramesPosted {
+			t.Fatalf("engine %d: %d plans but %d frames", i, m.Plans, m.FramesPosted)
+		}
+		if e2e := eng.Spans().Total(int(SpanE2E)).Count(); e2e != m.Delivered {
+			t.Fatalf("engine %d: %d e2e samples for %d deliveries", i, e2e, m.Delivered)
+		}
+	}
+	if m := tn.engines[0].Metrics(); m.Plans == 0 || m.PlanEvaluated < m.Plans {
+		t.Fatalf("sender plans = %d evaluated = %d", m.Plans, m.PlanEvaluated)
+	}
+	if got := tn.engines[1].Metrics().Delivered; got != n {
+		t.Fatalf("receiver delivered %d of %d", got, n)
 	}
 }
 
@@ -438,7 +492,7 @@ func TestDynamicBundleSwitch(t *testing.T) {
 		}
 	}
 	tn.cl.Eng.Run()
-	if tn.cl.Stats.CounterValue("core.aggregates") == 0 {
+	if tn.engines[0].Metrics().Aggregates == 0 {
 		t.Fatal("switched bundle not in effect")
 	}
 	if tn.cl.Stats.CounterValue("core.policy_switches") != 1 {

@@ -27,6 +27,8 @@ type counters struct {
 	framesPosted   uint64
 	packetsSent    uint64
 	aggregates     uint64
+	plans          uint64 // backlog plans built
+	planEvaluated  uint64 // candidate arrangements those plans evaluated
 	nagleFires     uint64 // delay timer expired and triggered a pump
 	nagleEarly     uint64 // delay cut short by backlog pressure or Flush
 
@@ -57,6 +59,8 @@ type Metrics struct {
 	FramesPosted   uint64
 	PacketsSent    uint64
 	Aggregates     uint64 // frames carrying more than one packet
+	Plans          uint64 // frames the plan builder built from the backlog
+	PlanEvaluated  uint64 // arrangements evaluated over all Plans (search cost)
 	IdleUpcalls    uint64 // scheduler activations
 	NagleFires     uint64 // artificial delays that ran to their timer
 	NagleEarly     uint64 // artificial delays cut short by backlog pressure

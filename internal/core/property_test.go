@@ -168,8 +168,7 @@ func TestEightNodeStress(t *testing.T) {
 		}
 	}
 	// Both technologies must have carried traffic.
-	if tn.cl.Stats.CounterValue("core.rail.mx.frames") == 0 ||
-		tn.cl.Stats.CounterValue("core.rail.elan.frames") == 0 {
+	if tn.railFrames("mx") == 0 || tn.railFrames("elan") == 0 {
 		t.Fatal("a rail sat idle through the stress run")
 	}
 }

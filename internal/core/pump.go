@@ -22,7 +22,6 @@ func (e *Engine) onIdle(ri, ch int) {
 	if e.closed.Load() {
 		return
 	}
-	e.cIdleUpcalls.Inc()
 	e.idleUps.Add(1)
 	e.rec.Record(trace.Event{At: e.rt.Now(), Kind: trace.KindIdle, Node: e.node, A: ri, B: ch})
 	e.kickChannel(ri, ch, true)
@@ -123,15 +122,8 @@ func (e *Engine) dispatchDeliveries(ds []proto.Deliverable, fns []func(), rail i
 		fn()
 	}
 	for _, d := range ds {
-		e.cDelivered.Inc()
-		e.cDeliveredBytes.Add(uint64(d.Pkt.Size()))
 		if d.Pkt.Enqueued > 0 {
-			lat := e.rt.Now().Sub(d.Pkt.Enqueued)
-			e.hDeliveryLat.Add(float64(lat))
-			e.spans.Observe(int(SpanE2E), int(d.Pkt.Class), rail, float64(lat))
-			if d.Pkt.Class == packet.ClassControl {
-				e.hControlLat.Add(float64(lat))
-			}
+			e.spans.Observe(int(SpanE2E), int(d.Pkt.Class), rail, float64(e.rt.Now().Sub(d.Pkt.Enqueued)))
 		}
 		e.rec.Record(trace.Event{
 			At: e.rt.Now(), Kind: trace.KindDeliver, Node: e.node,
@@ -170,7 +162,6 @@ func (e *Engine) enqueueReactive(f *packet.Frame) {
 		s.nBulk.Add(1)
 	}
 	s.mu.Unlock()
-	e.cReactive.Inc()
 }
 
 // onRdvGrant fires when a CTS arrives for a rendezvous this node started:
@@ -387,7 +378,6 @@ func (s *shard) pumpFailoverLocked(b *strategy.Bundle, ri, ch int) bool {
 		s.failQ = append(s.failQ[:i], s.failQ[i+1:]...)
 		s.nFail.Add(-1)
 		s.ctr.failovers++
-		e.set.Counter("core.failovers").Inc()
 		e.rec.Record(trace.Event{
 			At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 			A: ri, B: f.WireSize(), Note: "failover:" + f.Kind.String(),
@@ -541,14 +531,9 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 		A: len(plan.Packets), B: plan.Evaluated,
 		Note: b.Builder.Name(),
 	})
-	e.hPlanPackets.Add(float64(len(plan.Packets)))
-	e.hPlanEvaluated.Add(float64(plan.Evaluated))
-	if plan.Score > 0 {
-		e.hPlanScore.Add(float64(plan.Score))
-	}
+	s.ctr.plans++
+	s.ctr.planEvaluated += uint64(plan.Evaluated)
 	if len(plan.Packets) > 1 {
-		e.cAggregates.Inc()
-		e.cAggregatedPkts.Add(uint64(len(plan.Packets)))
 		s.ctr.aggregates++
 	}
 	return true
@@ -696,8 +681,6 @@ func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, h
 		}
 		panic(fmt.Sprintf("core: post on %s ch%d failed: %v", e.rails[ri].Name(), ch, err))
 	}
-	e.cFramesPosted.Inc()
-	e.railCtr[ri].Inc()
 	s.ctr.framesPosted++
 	s.railFrames[ri]++
 	e.rec.Record(trace.Event{
@@ -705,7 +688,6 @@ func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, h
 		A: ri, B: wire, Note: kind.String(),
 	})
 	if len(pkts) > 0 {
-		e.cPacketsSent.Add(uint64(len(pkts)))
 		s.ctr.packetsSent += uint64(len(pkts))
 	}
 }

@@ -248,7 +248,6 @@ func (e *Engine) onNagle(s *shard, gen uint64) {
 	s.nagleCancel = nil
 	s.ctr.nagleFires++
 	s.mu.Unlock()
-	e.set.Counter("core.nagle_flushes").Inc()
 	e.rec.Record(trace.Event{At: e.rt.Now(), Kind: trace.KindNagleFire, Node: e.node, A: int(e.backlogSz.Load())})
 	e.pumpAll()
 }
@@ -534,6 +533,8 @@ func (s *shard) mergeInto(m *Metrics) {
 	m.FramesPosted += s.ctr.framesPosted
 	m.PacketsSent += s.ctr.packetsSent
 	m.Aggregates += s.ctr.aggregates
+	m.Plans += s.ctr.plans
+	m.PlanEvaluated += s.ctr.planEvaluated
 	m.NagleFires += s.ctr.nagleFires
 	m.NagleEarly += s.ctr.nagleEarly
 	m.FramesReclaimed += s.ctr.framesReclaimed

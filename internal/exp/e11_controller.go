@@ -236,7 +236,7 @@ func E11Run(tuningName string, adaptive bool, cfg Config) (E11Result, error) {
 	}
 	res.PhaseTimes = times
 	res.Total = rig.Cl.Eng.Now().Sub(0)
-	res.Frames = rig.Cl.Stats.CounterValue("core.frames_posted")
+	res.Frames = sumMetrics(rig.engines()).FramesPosted
 	return res, nil
 }
 

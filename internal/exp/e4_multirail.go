@@ -71,11 +71,7 @@ func e4Point(rail strategy.RailPolicy, profiles []caps.Caps, flows, perFlow int,
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	perRail := make(map[string]uint64, len(profiles))
-	for _, p := range profiles {
-		perRail[p.Name] = rig.Cl.Stats.CounterValue("core.rail." + p.Name + ".frames")
-	}
-	return m, perRail, nil
+	return m, railFrames(rig.engines()), nil
 }
 
 func runE4(cfg Config) []*stats.Table {

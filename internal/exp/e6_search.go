@@ -57,8 +57,11 @@ func e6Point(budget, dests, flowsPerDest, perFlow int, seed uint64) (Metrics, fl
 	if err != nil {
 		return Metrics{}, 0, err
 	}
-	evaluated := rig.Cl.Stats.Histogram("core.plan_evaluated").Mean()
-	return m, evaluated, nil
+	tot := sumMetrics(rig.engines())
+	if tot.Plans == 0 {
+		return m, 0, nil
+	}
+	return m, float64(tot.PlanEvaluated) / float64(tot.Plans), nil
 }
 
 func runE6(cfg Config) []*stats.Table {

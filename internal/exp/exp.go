@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"newmad/internal/caps"
+	"newmad/internal/cluster"
 	"newmad/internal/core"
 	"newmad/internal/drivers"
 	"newmad/internal/mad"
@@ -50,7 +51,7 @@ func register(e Experiment) {
 
 // Controller-driven experiments (E11, X3) report how many retune decisions
 // their controllers applied; madbench folds the counts into its
-// machine-readable output (madbench/v2).
+// machine-readable output.
 var (
 	decMu          sync.Mutex
 	decisionCounts = map[string]uint64{}
@@ -74,7 +75,7 @@ func DecisionCount(id string) uint64 {
 
 // Chaos experiments (X5) report how many faults hit the run and how many
 // recovery actions the engines fired; madbench folds the counts into its
-// machine-readable output (madbench/v3).
+// machine-readable output.
 var (
 	faultMu     sync.Mutex
 	faultCounts = map[string][2]uint64{}
@@ -98,7 +99,7 @@ func FaultCounts(id string) (injected, recovered uint64) {
 }
 
 // Every experiment reports the latency quantiles of its final run;
-// madbench folds them into its machine-readable output (madbench/v5).
+// madbench folds them into its machine-readable output.
 var (
 	latMu     sync.Mutex
 	latencies = map[string]LatencySummary{}
@@ -358,14 +359,15 @@ func (r *Rig) Run(expected int) (Metrics, error) {
 	if expected > 0 && total != expected {
 		return Metrics{}, fmt.Errorf("exp: delivered %d of %d", total, expected)
 	}
-	lat := r.Cl.Stats.Histogram("core.delivery_latency_ns")
-	ctrl := r.Cl.Stats.Histogram("core.control_latency_ns")
+	lat := r.SpanTotal(core.SpanE2E)
+	ctrl := r.spanClass(core.SpanE2E, packet.ClassControl)
+	tot := sumMetrics(r.engines())
 	m := Metrics{
 		End:        end,
 		Wall:       wall,
 		Frames:     r.Cl.Stats.CounterValue("nic.tx.frames"),
-		Packets:    r.Cl.Stats.CounterValue("core.packets_sent"),
-		Aggregates: r.Cl.Stats.CounterValue("core.aggregates"),
+		Packets:    tot.PacketsSent,
+		Aggregates: tot.Aggregates,
 		MeanLatUs:  lat.Mean() / 1000,
 		P50LatUs:   lat.Quantile(0.5) / 1000,
 		P99LatUs:   lat.Quantile(0.99) / 1000,
@@ -390,4 +392,66 @@ func (r *Rig) SpanTotal(kind core.SpanKind) *stats.Histogram {
 		h.Merge(eng.Spans().Total(int(kind)))
 	}
 	return h
+}
+
+// spanClass merges the cells of one latency-span kind and one traffic
+// class across every engine in the rig.
+func (r *Rig) spanClass(kind core.SpanKind, class packet.ClassID) *stats.Histogram {
+	h := &stats.Histogram{}
+	for _, eng := range r.Engines {
+		for _, c := range eng.Spans().Snapshot() {
+			if c.Kind == int(kind) && c.Class == int(class) {
+				h.Merge(c.Hist)
+			}
+		}
+	}
+	return h
+}
+
+// engines returns the rig's engines, in no particular order.
+func (r *Rig) engines() []*core.Engine {
+	out := make([]*core.Engine, 0, len(r.Engines))
+	for _, eng := range r.Engines {
+		out = append(out, eng)
+	}
+	return out
+}
+
+// clusterEngines returns the engines of a real-socket cluster, in node
+// order.
+func clusterEngines(c *cluster.Cluster) []*core.Engine {
+	out := make([]*core.Engine, 0, len(c.Nodes))
+	for _, n := range c.Nodes {
+		out = append(out, n.Engine)
+	}
+	return out
+}
+
+// sumMetrics adds up the activity totals the experiments report over
+// engs: frames, packets, aggregates and plan-build counts.
+func sumMetrics(engs []*core.Engine) core.Metrics {
+	var t, m core.Metrics
+	for _, eng := range engs {
+		eng.MetricsInto(&m)
+		t.FramesPosted += m.FramesPosted
+		t.PacketsSent += m.PacketsSent
+		t.Aggregates += m.Aggregates
+		t.Plans += m.Plans
+		t.PlanEvaluated += m.PlanEvaluated
+	}
+	return t
+}
+
+// railFrames sums the frames engs posted per rail, keyed by the rail's
+// capability-profile name.
+func railFrames(engs []*core.Engine) map[string]uint64 {
+	out := make(map[string]uint64)
+	var m core.Metrics
+	for _, eng := range engs {
+		eng.MetricsInto(&m)
+		for i, r := range eng.Rails() {
+			out[r.Caps().Name] += m.RailFrames[i]
+		}
+	}
+	return out
 }

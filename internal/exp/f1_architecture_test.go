@@ -34,8 +34,8 @@ func TestF1ArchitectureTrace(t *testing.T) {
 	msg.Pack(make([]byte, 2048), mad.SendCheaper, mad.RecvCheaper)
 	msg.EndPacking()
 
-	st := rig.Cl.Stats
-	if st.CounterValue("core.submitted") == 0 {
+	sender, receiver := rig.Engines[0], rig.Engines[1]
+	if sender.Metrics().Submitted == 0 {
 		t.Fatal("collect layer did not hand packets to the optimizer")
 	}
 
@@ -51,11 +51,13 @@ func TestF1ArchitectureTrace(t *testing.T) {
 	}
 
 	// Layer ordering invariants, via the metrics each layer owns:
-	submitted := st.CounterValue("core.submitted")
-	posted := st.CounterValue("core.frames_posted")
+	st := rig.Cl.Stats
+	snd, rcv := sender.Metrics(), receiver.Metrics()
+	submitted := snd.Submitted
+	posted := snd.FramesPosted + rcv.FramesPosted
 	framesTx := st.CounterValue("nic.tx.frames")
 	framesRx := st.CounterValue("nic.rx.frames")
-	deliveredN := st.CounterValue("core.delivered")
+	deliveredN := rcv.Delivered
 
 	if posted == 0 || framesTx == 0 || framesRx == 0 {
 		t.Fatalf("layers silent: posted=%d tx=%d rx=%d", posted, framesTx, framesRx)
@@ -77,7 +79,7 @@ func TestF1ArchitectureTrace(t *testing.T) {
 	}
 	// The engine was driven by idleness, not submits: the idle upcall
 	// counter must be live once traffic flowed.
-	if st.CounterValue("core.idle_upcalls") == 0 {
+	if snd.IdleUpcalls == 0 {
 		t.Fatal("optimizer never activated by NIC idleness")
 	}
 }

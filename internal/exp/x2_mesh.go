@@ -99,7 +99,7 @@ func X2Sim(cfg Config) (X2Result, error) {
 		Nodes:      nodes,
 		Msgs:       total,
 		Bytes:      total * size,
-		Frames:     rig.Cl.Stats.CounterValue("core.frames_posted"),
+		Frames:     sumMetrics(rig.engines()).FramesPosted,
 		Completion: time.Duration(m.End),
 	}, nil
 }
@@ -163,15 +163,11 @@ func X2Mesh(cfg Config) (X2Result, error) {
 	}
 	wall := time.Since(start)
 
-	var frames uint64
-	for _, n := range c.Nodes {
-		frames += n.Stats.CounterValue("core.frames_posted")
-	}
 	return X2Result{
 		Nodes:      nodes,
 		Msgs:       total,
 		Bytes:      total * size,
-		Frames:     frames,
+		Frames:     sumMetrics(clusterEngines(c)).FramesPosted,
 		Completion: wall,
 	}, nil
 }

@@ -169,18 +169,12 @@ func X4Mesh(cfg Config, railCount int) (X4Result, error) {
 	}
 	wall := time.Since(start)
 
-	railFrames := make(map[string]uint64)
-	for _, p := range x4Rails(railCount) {
-		for _, n := range c.Nodes {
-			railFrames[p.Name] += n.Stats.CounterValue("core.rail." + p.Name + ".frames")
-		}
-	}
 	return X4Result{
 		RailCount:  railCount,
 		Msgs:       total,
 		Bytes:      2 * (smallMsgs*smallSize + bulkMsgs*bulkSize),
 		Completion: wall,
-		RailFrames: railFrames,
+		RailFrames: railFrames(clusterEngines(c)),
 	}, nil
 }
 

@@ -14,8 +14,9 @@ import (
 )
 
 type rig struct {
-	cl   *drivers.Cluster
-	dsms []*DSM
+	cl      *drivers.Cluster
+	dsms    []*DSM
+	engines []*core.Engine
 }
 
 func newRig(t *testing.T, nodes, pages, pageSize int) *rig {
@@ -48,6 +49,7 @@ func newRig(t *testing.T, nodes, pages, pageSize int) *rig {
 			t.Fatal(err)
 		}
 		r.dsms = append(r.dsms, d)
+		r.engines = append(r.engines, s.Engine())
 	}
 	return r
 }
@@ -229,7 +231,11 @@ func TestDSMTrafficMixesClasses(t *testing.T) {
 	if r.cl.Stats.CounterValue("core.rma_gets") == 0 {
 		t.Fatal("no RMA gets")
 	}
-	if r.cl.Stats.CounterValue("core.submitted") == 0 {
+	var submitted uint64
+	for _, eng := range r.engines {
+		submitted += eng.Metrics().Submitted
+	}
+	if submitted == 0 {
 		t.Fatal("no control messages")
 	}
 }

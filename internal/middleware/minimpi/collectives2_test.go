@@ -91,7 +91,11 @@ func TestAlltoallAggregatesAcrossFlows(t *testing.T) {
 	if doneCount != n*concurrent {
 		t.Fatalf("completed %d of %d", doneCount, n*concurrent)
 	}
-	if j.cl.Stats.CounterValue("core.aggregates") == 0 {
+	var aggregates uint64
+	for _, eng := range j.engines {
+		aggregates += eng.Metrics().Aggregates
+	}
+	if aggregates == 0 {
 		t.Fatal("alltoall produced no aggregation")
 	}
 }

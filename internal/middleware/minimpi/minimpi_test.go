@@ -16,8 +16,9 @@ import (
 
 // job builds an n-rank world over a simulated MX cluster.
 type job struct {
-	cl     *drivers.Cluster
-	worlds []*World
+	cl      *drivers.Cluster
+	worlds  []*World
+	engines []*core.Engine
 }
 
 func newJob(t *testing.T, n int) *job {
@@ -50,6 +51,7 @@ func newJob(t *testing.T, n int) *job {
 			t.Fatal(err)
 		}
 		j.worlds = append(j.worlds, w)
+		j.engines = append(j.engines, s.Engine())
 	}
 	return j
 }

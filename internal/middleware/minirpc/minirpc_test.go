@@ -15,8 +15,9 @@ import (
 )
 
 type rig struct {
-	cl    *drivers.Cluster
-	peers []*Peer
+	cl      *drivers.Cluster
+	peers   []*Peer
+	engines []*core.Engine
 }
 
 func newRig(t *testing.T, n int) *rig {
@@ -45,6 +46,7 @@ func newRig(t *testing.T, n int) *rig {
 			t.Fatal(err)
 		}
 		r.peers = append(r.peers, New(s))
+		r.engines = append(r.engines, s.Engine())
 	}
 	return r
 }
@@ -111,7 +113,11 @@ func TestManyOutstandingCalls(t *testing.T) {
 		}
 	}
 	// Concurrent small calls should have aggregated.
-	if r.cl.Stats.CounterValue("core.aggregates") == 0 {
+	var aggregates uint64
+	for _, eng := range r.engines {
+		aggregates += eng.Metrics().Aggregates
+	}
+	if aggregates == 0 {
 		t.Fatal("rpc storm produced no aggregation")
 	}
 }
