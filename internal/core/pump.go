@@ -451,8 +451,9 @@ func (s *shard) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 }
 
 // pumpBacklogLocked runs the plan builder over the shard's eligible backlog
-// view. The view, the strategy context and the plan live only for this
-// pump; builders must not retain any of them past Build. Caller holds s.mu.
+// view. The view and the plan live only for this pump; builders must not
+// retain either past Build. The strategy context persists across pumps so
+// the builders' plan storage in it is reused. Caller holds s.mu.
 func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	e := s.eng
 	r := e.rails[ri]
@@ -464,14 +465,15 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	if len(view) == 0 {
 		return false
 	}
-	s.planCtx = strategy.Context{
-		Now:     e.rt.Now(),
-		Caps:    r.Caps(),
-		Mem:     r.Mem(),
-		Backlog: view,
-		Budget:  tun.searchBudget,
-	}
-	plan := b.Builder.Build(&s.planCtx)
+	// Field by field, not a fresh Context: that would drop the builders'
+	// plan storage.
+	ctx := &s.planCtx
+	ctx.Now = e.rt.Now()
+	ctx.Caps = r.Caps()
+	ctx.Mem = r.Mem()
+	ctx.Backlog = view
+	ctx.Budget = tun.searchBudget
+	plan := b.Builder.Build(ctx)
 	if plan == nil || len(plan.Packets) == 0 {
 		return false
 	}
@@ -520,7 +522,7 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 		// before a plan pulled it, keyed by its class and the rail the
 		// plan was built for.
 		if p.Enqueued > 0 {
-			e.spans.Observe(int(SpanQueueWait), int(p.Class), ri, float64(s.planCtx.Now.Sub(p.Enqueued)))
+			e.spans.Observe(int(SpanQueueWait), int(p.Class), ri, float64(ctx.Now.Sub(p.Enqueued)))
 		}
 	}
 	s.postLocked(ri, ch, f, plan.Packets, plan.HostExtra)
@@ -535,6 +537,13 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	s.ctr.planEvaluated += uint64(plan.Evaluated)
 	if len(plan.Packets) > 1 {
 		s.ctr.aggregates++
+	}
+	// The packets' single exit from the backlog: the frame entries copied
+	// their headers and alias their payloads, so pooled packets go back
+	// to the pool (DESIGN.md §5, packet lifecycle). Unpooled ones are left
+	// to their creator.
+	for _, p := range plan.Packets {
+		packet.ReleasePacket(p)
 	}
 	return true
 }

@@ -121,8 +121,9 @@ type shard struct {
 	// Pump scratch, reused across pumps so the steady-state eager path
 	// allocates nothing: the eligible view and its merge cursors, the
 	// per-queue removal subsequences, the strategy context handed to plan
-	// builders (builders must not retain it past Build), and the probe
-	// packets the class/rail policies are consulted with.
+	// builders (it carries their reusable plan storage; builders must not
+	// retain it past Build), and the probe packets the class/rail policies
+	// are consulted with.
 	viewScratch  []*packet.Packet
 	curScratch   []backlogCursor
 	takenScratch []*packet.Packet

@@ -102,6 +102,10 @@ func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 	var (
 		vecScratch [][]byte // reused gather-list backing
 		meta       []byte   // reused header scratch; gather segments alias it
+		// bufs is WriteTo's receiver. Its address escapes into the
+		// socket's writev path, so it lives here, allocated once per
+		// connection, and is re-sliced for every frame.
+		bufs net.Buffers
 	)
 	for tx := range r.q {
 		if !broken {
@@ -109,7 +113,7 @@ func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 			meta = append(meta[:0], 0, 0, 0, 0)
 			binary.BigEndian.PutUint32(meta[0:4], uint32(wire))
 			vecScratch, meta = tx.f.EncodeVec(vecScratch[:0], meta)
-			bufs := net.Buffers(vecScratch)
+			bufs = vecScratch
 			_, err := bufs.WriteTo(r.c)
 			for i := range vecScratch {
 				vecScratch[i] = nil // drop payload refs; the gather backing is reused

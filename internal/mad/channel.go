@@ -30,17 +30,37 @@ type Channel struct {
 // MessageHandler receives a fully assembled inbound message.
 type MessageHandler func(src packet.NodeID, msg *Incoming)
 
-// FragmentHandler receives a single fragment as it is delivered.
+// FragmentHandler receives a single fragment as it is delivered. frag is
+// valid only for the duration of the callback: copy what must outlive it
+// (its Payload bytes are the handler's to keep).
 type FragmentHandler func(src packet.NodeID, frag *packet.Packet)
 
-// Incoming is an assembled message: fragments in pack order.
+// Incoming is an assembled message: fragments in pack order. Handlers may
+// retain it (and its Fragments) indefinitely.
 type Incoming struct {
 	Src       packet.NodeID
 	Msg       packet.MsgID
 	Fragments [][]byte
 	// Express flags Fragments[i] that were packed receive_EXPRESS.
 	Express []bool
+
+	// Inline storage for the first fragments, so that the Incoming and
+	// both slices of a short message are one allocation.
+	fragBuf [2][]byte
+	exprBuf [2]bool
 }
+
+// newIncoming starts the assembly of message msg from src.
+func newIncoming(src packet.NodeID, msg packet.MsgID) *Incoming {
+	in := &Incoming{Src: src, Msg: msg}
+	in.Fragments = in.fragBuf[:0]
+	in.Express = in.exprBuf[:0]
+	return in
+}
+
+// fragScratch holds the per-callback packet copies fragment handlers are
+// given, so the delivered packet never escapes ingest.
+var fragScratch = sync.Pool{New: func() any { return new(packet.Packet) }}
 
 // assembly accumulates the current message of one inbound flow.
 type assembly struct {
@@ -97,40 +117,46 @@ func (c *Channel) Connect(peer packet.NodeID) *Connection {
 
 // ingest processes one in-order fragment from the session dispatcher. The
 // deliverable carries the packet by value; the fragment handlers below get
-// a pointer to a per-ingest copy, valid for the duration of the callback.
+// a pointer to a pooled copy, valid for the duration of the callback.
 func (c *Channel) ingest(d proto.Deliverable) {
-	p := &d.Pkt
 	c.mu.Lock()
 	onFrag, onExpr, onMsg := c.onFragment, c.onExpress, c.onMessage
-	as := c.inflows[p.Flow]
+	as := c.inflows[d.Pkt.Flow]
 	if as == nil {
 		as = &assembly{}
-		c.inflows[p.Flow] = as
+		c.inflows[d.Pkt.Flow] = as
 	}
 	if !as.begun {
-		as.msg = &Incoming{Src: d.Src, Msg: p.Msg}
+		as.msg = newIncoming(d.Src, d.Pkt.Msg)
 		as.begun = true
 	}
-	if p.Msg != as.msg.Msg {
+	if d.Pkt.Msg != as.msg.Msg {
 		c.mu.Unlock()
 		panic(fmt.Sprintf("mad: channel %q: fragment of message %d while message %d is open (flow %d)",
-			c.name, p.Msg, as.msg.Msg, p.Flow))
+			c.name, d.Pkt.Msg, as.msg.Msg, d.Pkt.Flow))
 	}
-	as.msg.Fragments = append(as.msg.Fragments, p.Payload)
-	as.msg.Express = append(as.msg.Express, p.Recv == packet.RecvExpress)
+	express := d.Pkt.Recv == packet.RecvExpress
+	as.msg.Fragments = append(as.msg.Fragments, d.Pkt.Payload)
+	as.msg.Express = append(as.msg.Express, express)
 	var complete *Incoming
-	if p.Last {
+	if d.Pkt.Last {
 		complete = as.msg
 		as.begun = false
 		as.msg = nil
 	}
 	c.mu.Unlock()
 
-	if onFrag != nil {
-		onFrag(d.Src, p)
-	}
-	if onExpr != nil && p.Recv == packet.RecvExpress {
-		onExpr(d.Src, p)
+	if onFrag != nil || (onExpr != nil && express) {
+		p := fragScratch.Get().(*packet.Packet)
+		*p = d.Pkt
+		if onFrag != nil {
+			onFrag(d.Src, p)
+		}
+		if onExpr != nil && express {
+			onExpr(d.Src, p)
+		}
+		*p = packet.Packet{}
+		fragScratch.Put(p)
 	}
 	if complete != nil && onMsg != nil {
 		onMsg(complete.Src, complete)
@@ -149,6 +175,9 @@ type Connection struct {
 	nextSeq int
 	nextMsg packet.MsgID
 	open    bool
+	// msg is the connection's one message, reset by every BeginPacking:
+	// with one open message per connection, packing needs no allocation.
+	msg Message
 }
 
 // Peer returns the remote node.
@@ -157,7 +186,9 @@ func (c *Connection) Peer() packet.NodeID { return c.peer }
 // Flow returns the wire flow id (diagnostics).
 func (c *Connection) Flow() packet.FlowID { return c.flow }
 
-// BeginPacking starts a new outbound message.
+// BeginPacking starts a new outbound message. The returned *Message is
+// the connection's own and is invalid after its EndPacking: the next
+// BeginPacking reuses it.
 func (c *Connection) BeginPacking() *Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,7 +197,8 @@ func (c *Connection) BeginPacking() *Message {
 	}
 	c.open = true
 	c.nextMsg++
-	return &Message{conn: c, msg: c.nextMsg}
+	c.msg = Message{conn: c, msg: c.nextMsg, held: c.msg.held[:0]}
+	return &c.msg
 }
 
 // Message is an outbound structured message under construction.
@@ -175,7 +207,8 @@ type Message struct {
 	msg  packet.MsgID
 	// held are packed fragments not yet submitted: always the most recent
 	// fragment (it may turn out to be the last) and every send_LATER
-	// fragment (whose buffers must not be read before EndPacking).
+	// fragment (whose buffers must not be read before EndPacking). Its
+	// backing array is kept across the connection's messages.
 	held  []*packet.Packet
 	ended bool
 }
@@ -198,24 +231,15 @@ func (m *Message) PackClass(data []byte, send packet.SendMode, recv packet.RecvM
 		// safer: capture now; caller may immediately reuse the buffer.
 		payload = append([]byte(nil), data...)
 	}
-	p := &packet.Packet{
-		Flow:    c.flow,
-		Msg:     m.msg,
-		Seq:     c.nextSeq,
-		Src:     c.channel.session.node,
-		Dst:     c.peer,
-		Class:   class,
-		Send:    send,
-		Recv:    recv,
-		Payload: payload,
-	}
-	c.nextSeq++
+	p := c.newPacketLocked(m.msg, class, payload)
+	p.Send = send
+	p.Recv = recv
 
 	// Submit every held fragment that is not send_LATER and is not the
 	// new most-recent one; the newest is always held because it may be
-	// the message's last fragment.
+	// the message's last fragment. held is compacted in place.
 	m.held = append(m.held, p)
-	var still []*packet.Packet
+	still := m.held[:0]
 	for i, h := range m.held {
 		if i == len(m.held)-1 || h.Send == packet.SendLater {
 			still = append(still, h)
@@ -223,6 +247,7 @@ func (m *Message) PackClass(data []byte, send packet.SendMode, recv packet.RecvM
 		}
 		c.submitLocked(h)
 	}
+	clear(m.held[len(still):]) // submitted packets belong to the engine now
 	m.held = still
 	c.mu.Unlock()
 }
@@ -240,12 +265,8 @@ func (m *Message) EndPacking() {
 	if len(m.held) == 0 {
 		// Empty message: emit a zero-length terminator so the receiver
 		// still observes a message boundary.
-		p := &packet.Packet{
-			Flow: c.flow, Msg: m.msg, Seq: c.nextSeq,
-			Src: c.channel.session.node, Dst: c.peer,
-			Class: packet.ClassControl, Last: true, Payload: []byte{},
-		}
-		c.nextSeq++
+		p := c.newPacketLocked(m.msg, packet.ClassControl, []byte{})
+		p.Last = true
 		c.submitLocked(p)
 	} else {
 		m.held[len(m.held)-1].Last = true
@@ -253,9 +274,26 @@ func (m *Message) EndPacking() {
 			c.submitLocked(h)
 		}
 	}
-	m.held = nil
+	clear(m.held)
+	m.held = m.held[:0]
 	c.open = false
 	c.mu.Unlock()
+}
+
+// newPacketLocked acquires a pooled packet for the next fragment of
+// message msg. Ownership passes to the engine when Submit accepts it.
+// Caller holds c.mu.
+func (c *Connection) newPacketLocked(msg packet.MsgID, class packet.ClassID, payload []byte) *packet.Packet {
+	p := packet.AcquirePacket()
+	p.Flow = c.flow
+	p.Msg = msg
+	p.Seq = c.nextSeq
+	p.Src = c.channel.session.node
+	p.Dst = c.peer
+	p.Class = class
+	p.Payload = payload
+	c.nextSeq++
+	return p
 }
 
 func (c *Connection) submitLocked(p *packet.Packet) {

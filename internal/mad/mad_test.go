@@ -103,6 +103,72 @@ func TestMultiFragmentMessageOrderAndExpress(t *testing.T) {
 	}
 }
 
+// TestFragmentHandlersSeePacketFields checks what OnFragment and
+// OnExpress are handed — a pooled copy of the delivered packet, reused
+// across callbacks — field by field over several multi-fragment messages,
+// so a stale field from an earlier fragment would show.
+func TestFragmentHandlersSeePacketFields(t *testing.T) {
+	r := newRig(t, 2, "aggregate")
+	type seen struct {
+		flow        packet.FlowID
+		msg         packet.MsgID
+		seq         int
+		src, dst    packet.NodeID
+		class       packet.ClassID
+		recv        packet.RecvMode
+		last        bool
+		payload     string
+		viaExpress  bool
+		handlerFrom packet.NodeID
+	}
+	var frags, express []seen
+	record := func(into *[]seen, viaExpress bool) FragmentHandler {
+		return func(src packet.NodeID, f *packet.Packet) {
+			*into = append(*into, seen{
+				flow: f.Flow, msg: f.Msg, seq: f.Seq, src: f.Src, dst: f.Dst,
+				class: f.Class, recv: f.Recv, last: f.Last, payload: string(f.Payload),
+				viaExpress: viaExpress, handlerFrom: src,
+			})
+		}
+	}
+	ch1 := r.sessions[1].Channel("app")
+	ch1.OnFragment(record(&frags, false))
+	ch1.OnExpress(record(&express, true))
+
+	conn := r.sessions[0].Channel("app").Connect(1)
+	const msgs = 3
+	for i := 0; i < msgs; i++ {
+		m := conn.BeginPacking()
+		m.Pack([]byte(fmt.Sprintf("h%d", i)), SendCheaper, RecvExpress)
+		m.Pack([]byte(fmt.Sprintf("body-%d", i)), SendCheaper, RecvCheaper)
+		m.EndPacking()
+	}
+	r.cl.Eng.Run()
+
+	if len(frags) != 2*msgs || len(express) != msgs {
+		t.Fatalf("OnFragment saw %d fragments, OnExpress %d; want %d and %d", len(frags), len(express), 2*msgs, msgs)
+	}
+	for i := 0; i < msgs; i++ {
+		hdr := seen{
+			flow: conn.Flow(), msg: packet.MsgID(i + 1), seq: 2 * i, src: 0, dst: 1,
+			class: packet.ClassControl, recv: packet.RecvExpress,
+			payload: fmt.Sprintf("h%d", i), handlerFrom: 0,
+		}
+		bdy := seen{
+			flow: conn.Flow(), msg: packet.MsgID(i + 1), seq: 2*i + 1, src: 0, dst: 1,
+			class: packet.ClassSmall, recv: packet.RecvCheaper, last: true,
+			payload: fmt.Sprintf("body-%d", i), handlerFrom: 0,
+		}
+		if frags[2*i] != hdr || frags[2*i+1] != bdy {
+			t.Fatalf("message %d: OnFragment saw %+v, %+v; want %+v, %+v", i, frags[2*i], frags[2*i+1], hdr, bdy)
+		}
+		hdr.viaExpress = true
+		if express[i] != hdr {
+			t.Fatalf("message %d: OnExpress saw %+v, want %+v", i, express[i], hdr)
+		}
+	}
+}
+
 func TestSendSaferCapturesImmediately(t *testing.T) {
 	r := newRig(t, 2, "aggregate")
 	var got *Incoming

@@ -18,6 +18,17 @@
 // layer treats as reordering constraints, exactly as §3 of the paper
 // describes.
 //
+// Lifetimes. In steady state the collect layer allocates nothing per
+// outbound message (send_SAFER's copy aside), which sets three rules:
+//
+//   - A *Message is the connection's own and is invalid after EndPacking:
+//     the next BeginPacking on the connection reuses it.
+//   - An *Incoming handed to an OnMessage handler is the handler's to keep,
+//     fragments included.
+//   - The *packet.Packet a FragmentHandler (OnFragment, OnExpress) receives
+//     is a pooled copy, valid only for the duration of the callback; its
+//     Payload bytes may be kept.
+//
 // Flow identity: each (channel, source node) pair maps to one flow id, so
 // channels must be created in the same order on every node (the usual SPMD
 // convention, as with MPI communicators).

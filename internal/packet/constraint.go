@@ -81,20 +81,53 @@ func CanAppend(pkt *Packet, count, size int, dst NodeID, lim AggregateLimits) bo
 
 // OrderedSubset verifies that packets, in the order given, respect rule 1:
 // for every connection (flow, destination), SubmitSeq is strictly
-// increasing. Strategies call this in debug assertions and tests call it
-// as the oracle for generated plans.
+// increasing. The engine checks every plan with it before building the
+// frame, and tests call it as the oracle for generated plans.
+//
+// The connections seen so far live in a stack array scanned linearly: a
+// plan touches a handful of connections, so the scan is cheaper than a map
+// and allocates nothing. A plan spanning more connections than the array
+// holds spills to a map, keeping the worst case linear.
 func OrderedSubset(pkts []*Packet) bool {
 	type conn struct {
 		f FlowID
 		d NodeID
 	}
-	last := map[conn]uint64{}
+	var (
+		keys  [32]conn
+		lasts [32]uint64
+		n     int
+		spill map[conn]uint64
+	)
+next:
 	for _, p := range pkts {
 		k := conn{p.Flow, p.Dst}
-		if prev, ok := last[k]; ok && p.SubmitSeq <= prev {
-			return false
+		if spill != nil {
+			if prev, ok := spill[k]; ok && p.SubmitSeq <= prev {
+				return false
+			}
+			spill[k] = p.SubmitSeq
+			continue
 		}
-		last[k] = p.SubmitSeq
+		for i := 0; i < n; i++ {
+			if keys[i] == k {
+				if p.SubmitSeq <= lasts[i] {
+					return false
+				}
+				lasts[i] = p.SubmitSeq
+				continue next
+			}
+		}
+		if n < len(keys) {
+			keys[n], lasts[n] = k, p.SubmitSeq
+			n++
+			continue
+		}
+		spill = make(map[conn]uint64, 2*len(keys))
+		for i := range keys {
+			spill[keys[i]] = lasts[i]
+		}
+		spill[k] = p.SubmitSeq
 	}
 	return true
 }

@@ -16,9 +16,9 @@ import (
 // (see SendMode for when the capture happens).
 // Field order is packed for size: the receive path allocates packets in
 // per-frame batches (proto.Dispatcher), so keeping the header fields packed
-// into whole words (80 bytes with the tenant tag; the Dst..Tenant group
-// shares one word with three bytes of padding left) is measurable on the
-// wire-to-deliver hot path.
+// into whole words (80 bytes with the tenant tag and the pool flag, which
+// share the Dst word's padding) is measurable on the wire-to-deliver hot
+// path.
 type Packet struct {
 	Flow   FlowID
 	Src    NodeID
@@ -30,6 +30,7 @@ type Packet struct {
 	Recv   RecvMode
 	Last   bool     // set on the final fragment of the message
 	Tenant TenantID // admission-control principal; submit-side only, not on the wire
+	pooled bool     // came from AcquirePacket (pool.go); copies carry it harmlessly
 
 	// Payload is the fragment data. For rendezvous-converted fragments the
 	// eager packet carries only the RTS and Payload stays with the source

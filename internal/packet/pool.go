@@ -64,6 +64,45 @@ func ReleaseFrame(f *Frame) {
 	framePool.Put(f)
 }
 
+// Pooled packet lifecycle.
+//
+// The collect layer (internal/mad) builds every outbound fragment in a
+// pooled Packet. The same single-owner rule as for frames applies
+// (DESIGN.md §5, "Packet lifecycle"):
+//
+//   - mad acquires the packet and owns it until Engine.Submit accepts it.
+//     A packet Submit refuses stays the caller's.
+//   - An accepted eager packet belongs to the engine, which releases it at
+//     the one point it leaves the backlog: after its plan's frame entries
+//     are built (the entries copy the header fields and alias the payload,
+//     so the packet struct itself is no longer needed).
+//   - A packet converted to rendezvous is kept by the protocol engine and
+//     is never released; it falls to the GC.
+//   - ReleasePacket on a packet that never came from the pool is a no-op,
+//     so packets built by tests, middlewares and simulated workloads keep
+//     their historical lifetime.
+var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+
+// AcquirePacket returns a zeroed Packet from the pool. The caller owns it
+// until Engine.Submit accepts it or it is released.
+func AcquirePacket() *Packet {
+	p := packetPool.Get().(*Packet)
+	p.pooled = true
+	return p
+}
+
+// ReleasePacket zeroes p (dropping its payload reference) and returns it
+// to the pool. The caller must be the packet's sole owner and must not
+// touch p afterwards. A packet that never came from the pool is left
+// untouched, and so is one already released and not yet re-acquired.
+func ReleasePacket(p *Packet) {
+	if p == nil || !p.pooled {
+		return
+	}
+	*p = Packet{}
+	packetPool.Put(p)
+}
+
 // Reset clears the frame for reuse, dropping every payload reference while
 // keeping the Entries backing array. Lifecycle state (pooling, backing) is
 // managed by Acquire/ReleaseFrame, not here.

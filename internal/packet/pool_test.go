@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 func TestAcquireReleaseFrameRoundTrip(t *testing.T) {
@@ -97,5 +98,63 @@ func TestResetDropsPayloadReferences(t *testing.T) {
 		if es[i].Payload != nil {
 			t.Fatal("Reset left a payload reference in the entries backing array")
 		}
+	}
+}
+
+func TestAcquireReleasePacketRoundTrip(t *testing.T) {
+	p := AcquirePacket()
+	p.Flow, p.Msg, p.Seq, p.Dst, p.Last = 3, 4, 5, 6, true
+	p.Payload = []byte("abc")
+	ReleasePacket(p)
+	if p.Payload != nil || p.Flow != 0 || p.Last {
+		t.Fatalf("ReleasePacket left state: %+v", p)
+	}
+
+	q := AcquirePacket()
+	defer ReleasePacket(q)
+	// Whether or not q is the same struct, it must arrive zeroed (apart
+	// from its pool flag).
+	if q.Flow != 0 || q.Msg != 0 || q.Seq != 0 || q.Dst != 0 || q.Last || q.Payload != nil || q.SubmitSeq != 0 {
+		t.Fatalf("acquired packet not reset: %+v", q)
+	}
+	if !q.pooled {
+		t.Fatal("acquired packet not flagged as pooled")
+	}
+}
+
+func TestReleasePacketOnUnpooledPacketIsNoOp(t *testing.T) {
+	payload := []byte("keep")
+	p := &Packet{Flow: 1, Msg: 2, Seq: 3, Src: 4, Dst: 5, Class: ClassBulk, Last: true, Payload: payload, SubmitSeq: 9}
+	want := *p
+	ReleasePacket(p)
+	// The creator (a test, a middleware, a workload driver) may still use
+	// or resubmit it: nothing may change.
+	if p.Flow != want.Flow || p.Msg != want.Msg || p.Seq != want.Seq || p.Src != want.Src ||
+		p.Dst != want.Dst || p.Class != want.Class || !p.Last || p.SubmitSeq != want.SubmitSeq ||
+		&p.Payload[0] != &payload[0] || string(p.Payload) != "keep" {
+		t.Fatalf("ReleasePacket mutated an unpooled packet: %+v", p)
+	}
+	ReleasePacket(nil) // and nil is a no-op
+}
+
+func TestDoubleReleasePacketDoesNotDuplicatePoolEntries(t *testing.T) {
+	p := AcquirePacket()
+	ReleasePacket(p)
+	ReleasePacket(p) // second release of the same object must be a no-op
+	a := AcquirePacket()
+	b := AcquirePacket()
+	if a == b {
+		t.Fatal("double release put the same packet in the pool twice")
+	}
+	ReleasePacket(a)
+	ReleasePacket(b)
+}
+
+// TestPacketSize pins the packed layout: the pool flag must fit in the
+// header word's padding, not cost the receive path's per-frame packet
+// batches another word per packet.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n != 80 {
+		t.Fatalf("Packet is %d bytes, want 80", n)
 	}
 }

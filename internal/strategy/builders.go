@@ -80,9 +80,9 @@ func (s *nodeSet) has(d packet.NodeID) bool {
 	return false
 }
 
-// planCapHint bounds the Packets preallocation: big enough that typical
-// aggregates never regrow, small enough that a deep backlog doesn't cost
-// an oversized slice per pump.
+// planCapHint bounds a search candidate's preallocation: big enough that
+// typical aggregates never regrow, small enough that a deep backlog doesn't
+// cost an oversized slice per candidate.
 func planCapHint(backlog int) int {
 	if backlog > 64 {
 		return 64
@@ -103,7 +103,8 @@ func (FIFO) Build(ctx *Context) *Plan {
 	if len(ctx.Backlog) == 0 {
 		return nil
 	}
-	plan := &Plan{Packets: ctx.Backlog[:1:1], Evaluated: 1}
+	plan := ctx.newPlan()
+	plan.Packets = append(plan.Packets, ctx.Backlog[0])
 	ScorePlan(ctx.Caps, ctx.Mem, plan)
 	return plan
 }
@@ -146,9 +147,8 @@ func (a *Aggregate) Build(ctx *Context) *Plan {
 	}
 	head := ctx.Backlog[0]
 	lim := packet.AggregateLimits{MaxIOV: ctx.Caps.MaxIOV, MaxAggregate: ctx.Caps.MaxAggregate}
-	pkts := make([]*packet.Packet, 1, planCapHint(len(ctx.Backlog)))
-	pkts[0] = head
-	plan := &Plan{Packets: pkts, Evaluated: 1}
+	plan := ctx.newPlan()
+	plan.Packets = append(plan.Packets, head)
 	size := head.Size()
 	// blockedFlows records connections where we had to skip a same-
 	// destination packet: taking a later packet of such a connection would

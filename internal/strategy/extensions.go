@@ -53,7 +53,7 @@ func (d *Densest) Build(ctx *Context) *Plan {
 		}
 	}
 	lim := packet.AggregateLimits{MaxIOV: ctx.Caps.MaxIOV, MaxAggregate: ctx.Caps.MaxAggregate}
-	plan := &Plan{Evaluated: 1}
+	plan := ctx.newPlan()
 	size := 0
 	blocked := map[packet.FlowID]bool{}
 	for _, p := range ctx.Backlog {
@@ -73,7 +73,7 @@ func (d *Densest) Build(ctx *Context) *Plan {
 	if len(plan.Packets) == 0 {
 		// The densest destination was blocked entirely (e.g. byte limit);
 		// fall back to the head.
-		plan.Packets = ctx.Backlog[:1:1]
+		plan.Packets = append(plan.Packets, ctx.Backlog[0])
 	}
 	ScorePlan(ctx.Caps, ctx.Mem, plan)
 	return plan

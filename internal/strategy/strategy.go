@@ -44,6 +44,21 @@ type Context struct {
 	// evaluate (the paper's future-work question, reproduced by E6).
 	// Zero means "builder's default".
 	Budget int
+
+	// plan is the reusable plan storage this package's builders fill
+	// (newPlan). The engine keeps one Context per shard across pumps, so a
+	// steady-state Build allocates nothing; the price is that a returned
+	// plan is valid only until the next Build on the same Context.
+	plan Plan
+}
+
+// newPlan returns the context's plan storage, reset, with Packets empty
+// but keeping its backing array. Builders only append to Packets: aliasing
+// another slice (the backlog view) there would let the next newPlan write
+// into it.
+func (c *Context) newPlan() *Plan {
+	c.plan = Plan{Packets: c.plan.Packets[:0], Evaluated: 1}
+	return &c.plan
 }
 
 // Plan is a builder's answer: the sub-packets of the next frame, in order,
@@ -77,7 +92,8 @@ type PlanBuilder interface {
 	// Name identifies the builder in the registry and in experiment rows.
 	Name() string
 	// Build returns the next plan, or nil when the backlog is empty or the
-	// builder prefers to wait. Build must not mutate the backlog.
+	// builder prefers to wait. Build must not mutate the backlog. The plan
+	// may live in ctx's storage: it is valid until the next Build on ctx.
 	Build(ctx *Context) *Plan
 }
 

@@ -333,3 +333,49 @@ func TestEstimatorPIOBoundary(t *testing.T) {
 		t.Fatal("PIO send should be cheaper than large DMA send")
 	}
 }
+
+// TestPlanStorageReusedAcrossBuilds drives every builder that fills the
+// context's plan storage through one Context, as the engine does across
+// pumps: each plan must equal the plan a fresh Context yields, the
+// backlog view must never be written through the reused storage, and a
+// warmed Context must build without allocating.
+func TestPlanStorageReusedAcrossBuilds(t *testing.T) {
+	backlogs := [][]*packet.Packet{
+		mkBacklog([3]int{1, 1, 64}, [3]int{2, 1, 64}, [3]int{3, 2, 64}, [3]int{1, 1, 64}),
+		mkBacklog([3]int{4, 2, 64}),
+		mkBacklog([3]int{1, 1, 64}, [3]int{2, 1, 64}, [3]int{3, 1, 64}, [3]int{4, 1, 64}, [3]int{5, 1, 64}, [3]int{6, 2, 64}),
+		mkBacklog([3]int{7, 3, 64}, [3]int{8, 3, 64}),
+	}
+	for _, b := range []PlanBuilder{FIFO{}, NewAggregate(), NewDensest()} {
+		shared := &Context{Caps: mxCaps, Mem: mem}
+		var view []*packet.Packet // one backing array, like the shard's view scratch
+		for round := 0; round < 3; round++ {
+			for i, backlog := range backlogs {
+				view = append(view[:0], backlog...)
+				shared.Backlog = view
+				got := b.Build(shared)
+				want := b.Build(ctxWith(backlog))
+				if len(got.Packets) != len(want.Packets) || got.Evaluated != want.Evaluated || got.Score != want.Score {
+					t.Fatalf("%s backlog %d: reused-context plan %+v, fresh %+v", b.Name(), i, got, want)
+				}
+				for j := range got.Packets {
+					if got.Packets[j] != want.Packets[j] {
+						t.Fatalf("%s backlog %d: packet %d differs from the fresh-context plan", b.Name(), i, j)
+					}
+				}
+				for j := range view {
+					if view[j] != backlog[j] {
+						t.Fatalf("%s backlog %d: Build wrote into the backlog view at %d", b.Name(), i, j)
+					}
+				}
+			}
+		}
+		if b.Name() == "densest" {
+			continue // its density tally is a map per Build
+		}
+		shared.Backlog = backlogs[2]
+		if allocs := testing.AllocsPerRun(100, func() { b.Build(shared) }); allocs > 0 {
+			t.Fatalf("%s on a warmed Context costs %.2f allocs/build, want 0", b.Name(), allocs)
+		}
+	}
+}
